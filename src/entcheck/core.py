@@ -48,7 +48,8 @@ class CoeffTensor:
     of the state relative to fixed orthonormal bases of each subsystem.
     Indices are zero-based.  The bipartite case r=2 is an m x n matrix.
 
-    The zero tensor does not describe a state and is rejected.
+    The zero tensor does not describe a state and is rejected, and so is
+    any NaN or infinite entry.
     """
 
     __slots__ = ("_array",)
@@ -64,6 +65,8 @@ class CoeffTensor:
             raise ValueError(f"every dimension must be >= 1, got {array.shape}")
         if not array.any():
             raise ValueError("the zero tensor does not describe a state")
+        if not np.isfinite(array).all():
+            raise ValueError("entries must be finite, got NaN or inf")
         array.setflags(write=False)
         self._array = array
 

@@ -9,10 +9,6 @@ here; the pipeline escalates straight to the unfolding-rank oracle.
 
 from __future__ import annotations
 
-from functools import reduce
-
-import numpy as np
-
 from .bipartite import (
     MULTI_SUM,
     LocalFactors,
@@ -20,8 +16,9 @@ from .bipartite import (
     Verdict,
     Witness,
     _first_index,
+    _sum_violations,
 )
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, party_sums
 
 
 def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -44,14 +41,9 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
         )
 
     power = total ** (r - 1)
-    partials = [
-        c.sum(axis=tuple(ax for ax in range(r) if ax != k)) for k in range(r)
-    ]
-    rhs = reduce(np.multiply.outer, partials)
-    lhs = c * power
-    resid = np.abs(lhs - rhs)
+    partials = [party_sums(t, k) for k in range(1, r + 1)]
     scale = max(1.0, cmax * abs(total) ** (r - 1))
-    viol = resid > tol.eps_mag * np.maximum(scale, np.maximum(np.abs(lhs), np.abs(rhs)))
+    _, resid, viol = _sum_violations(c, partials, power, scale, tol)
     if viol.any():
         idx = _first_index(viol)
         return Verdict(Outcome.ENTANGLED, MULTI_SUM, witness=Witness(idx, float(resid[idx])))

@@ -56,13 +56,13 @@ def numeric_rank(mat, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     return rank
 
 
-def oracle_factorized(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
-    """True iff every mode unfolding has numeric rank 1."""
-    return all(numeric_rank(unfold(t, k), tol) == 1 for k in range(1, t.party_count + 1))
-
-
 def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
     return tuple(numeric_rank(unfold(t, k), tol) for k in range(1, t.party_count + 1))
+
+
+def oracle_factorized(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
+    """True iff every mode unfolding has numeric rank 1."""
+    return all(r == 1 for r in unfolding_ranks(t, tol))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .bipartite import (
     Witness,
     _first_index,
     _require_bipartite,
+    _sum_violations,
 )
 from .core import TWO_PI, CoeffTensor, DEFAULT_TOLERANCES, Tolerances
 
@@ -89,11 +90,37 @@ def _squared_submatrix(c: np.ndarray, live_rows, live_cols):
     return sub, row_map, col_map
 
 
-def _args_grid(sq: np.ndarray, cutoff: float):
+def _phase_grid(c: np.ndarray, cutoff: float, live_rows, live_cols, ref=None):
+    """Argument grid of the squared-up nonzero support and its constant.
+
+    Returns (sq, row_map, col_map, args, nz, row_arg, col_arg, (i, j),
+    const): `args` holds each entry's argument in [0, 2*pi), 0 where `nz`
+    marks it at or below the zero cutoff; `row_arg` and `col_arg` are the
+    argument row and column sums; (i, j) is the working index of the
+    reference entry `ref` (an original index, default the largest entry)
+    and `const` the shared phase constant solved from it.
+    """
+    sq, row_map, col_map = _squared_submatrix(c, live_rows, live_cols)
     nz = np.abs(sq) > cutoff
     args = np.where(nz, np.mod(np.angle(sq), TWO_PI), 0.0)
     args[args >= TWO_PI] = 0.0
-    return args, nz
+    row_arg = args.sum(axis=1)
+    col_arg = args.sum(axis=0)
+    d = sq.shape[0]
+    if ref is None:
+        i, j = np.unravel_index(int(np.abs(sq).argmax()), sq.shape)
+    else:
+        candidates = [
+            (i, j)
+            for i in range(d)
+            for j in range(d)
+            if (row_map[i], col_map[j]) == tuple(ref) and nz[i, j]
+        ]
+        if not candidates:
+            raise ValueError(f"reference entry {ref} is zero or outside the nonzero support")
+        i, j = candidates[0]
+    const = (row_arg[i] + col_arg[j] - d * args[i, j]) % TWO_PI
+    return sq, row_map, col_map, args, nz, row_arg, col_arg, (i, j), const
 
 
 def phase_constant(
@@ -110,26 +137,8 @@ def phase_constant(
     depend on the reference choice.
     """
     _require_bipartite(t)
-    c = t.array
-    mags, cutoff, live_rows, live_cols = _nonzero_structure(c, tol)
-    sq, row_map, col_map = _squared_submatrix(c, live_rows, live_cols)
-    args, nz = _args_grid(sq, cutoff)
-    row_arg = args.sum(axis=1)
-    col_arg = args.sum(axis=0)
-    d = sq.shape[0]
-    if ref is None:
-        i, j = np.unravel_index(int(np.abs(sq).argmax()), sq.shape)
-    else:
-        candidates = [
-            (i, j)
-            for i in range(d)
-            for j in range(d)
-            if (row_map[i], col_map[j]) == tuple(ref) and nz[i, j]
-        ]
-        if not candidates:
-            raise ValueError(f"reference entry {ref} is zero or outside the nonzero support")
-        i, j = candidates[0]
-    return float((row_arg[i] + col_arg[j] - d * args[i, j]) % TWO_PI)
+    _, cutoff, live_rows, live_cols = _nonzero_structure(t.array, tol)
+    return float(_phase_grid(t.array, cutoff, live_rows, live_cols, ref)[-1])
 
 
 def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -152,11 +161,7 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     s = mags.sum()
     row_mag = mags.sum(axis=1)
     col_mag = mags.sum(axis=0)
-    lhs = mags * s
-    rhs = np.outer(row_mag, col_mag)
-    resid = np.abs(lhs - rhs)
-    scale = max(1.0, cmax * cmax)
-    viol = resid > tol.eps_mag * np.maximum(scale, np.maximum(lhs, rhs))
+    _, resid, viol = _sum_violations(mags, (row_mag, col_mag), s, max(1.0, cmax * cmax), tol)
     if viol.any():
         idx = _first_index(viol)
         return Verdict(
@@ -167,16 +172,10 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
         )
 
     # Step 2: phase condition on the squared-up nonzero support.
-    sq, row_map, col_map = _squared_submatrix(c, live_rows, live_cols)
-    args, nz = _args_grid(sq, cutoff)
-    d = sq.shape[0]
-    row_arg = args.sum(axis=1)
-    col_arg = args.sum(axis=0)
-    ri, rj = np.unravel_index(int(np.abs(sq).argmax()), sq.shape)
-    const = (row_arg[ri] + col_arg[rj] - d * args[ri, rj]) % TWO_PI
-
+    grid = _phase_grid(c, cutoff, live_rows, live_cols)
+    sq, row_map, col_map, args, nz, row_arg, col_arg, (ri, rj), const = grid
     lhs_ang = np.add.outer(row_arg, col_arg) % TWO_PI
-    rhs_ang = (d * args + const) % TWO_PI
+    rhs_ang = (sq.shape[0] * args + const) % TWO_PI
     delta = (lhs_ang - rhs_ang) % TWO_PI
     dist = np.minimum(delta, TWO_PI - delta)
     # angle noise blows up as 1/|entry|; relax near the zero cutoff

@@ -101,7 +101,7 @@ def _oracle_factor_extraction(t: CoeffTensor, tol: Tolerances) -> LocalFactors:
     vector of each unfolding, overall amplitude folded into party 1."""
     vectors = []
     for k in range(1, t.party_count + 1):
-        u, _, _ = np.linalg.svd(unfold(t, k))
+        u, _, _ = np.linalg.svd(unfold(t, k), full_matrices=False)
         vectors.append(u[:, 0])
     amplitude = complex(np.vdot(reduce(np.multiply.outer, vectors), t.array))
     vectors[0] = vectors[0] * amplitude
@@ -174,46 +174,31 @@ def analyze(
     )
     r = t.party_count
 
-    if method == "oracle":
-        verdict = _oracle_stage(report, t, tol)
-        report.oracle_agrees = True
-        _finalize(report, verdict, t, tol)
-        return report
-
     if method in ("sum", "phase") and r != 2:
         report.error = f"method {method!r} needs a bipartite input, got {r} parties"
         return report
 
-    if method == "auto":
-        if r == 2:
-            verdict = _run_stage(report, "sum", sum_test, t, tol)
-            if verdict.is_inconclusive:
-                verdict = _run_stage(report, "sign-flip", sign_flip_recover, t, tol)
-            if verdict.is_inconclusive:
-                verdict = _run_stage(report, "mag-phase", magnitude_phase_test, t, tol)
-        else:
-            verdict = _run_stage(report, "multi-sum", multiparty_sum_test, t, tol)
+    verdict = None
+    if method == "auto" and r == 2:
+        verdict = _run_stage(report, "sum", sum_test, t, tol)
+        if verdict.is_inconclusive:
+            verdict = _run_stage(report, "sign-flip", sign_flip_recover, t, tol)
+        if verdict.is_inconclusive:
+            verdict = _run_stage(report, "mag-phase", magnitude_phase_test, t, tol)
+    elif method in ("auto", "multi"):
+        verdict = _run_stage(report, "multi-sum", multiparty_sum_test, t, tol)
     elif method == "sum":
         verdict = _run_stage(report, "sum", sum_test, t, tol)
     elif method == "phase":
         verdict = _run_stage(report, "mag-phase", magnitude_phase_test, t, tol)
-    else:  # multi
-        verdict = _run_stage(report, "multi-sum", multiparty_sum_test, t, tol)
 
-    if verdict.is_inconclusive:
-        if method != "auto":
-            report.verdict = Outcome.INCONCLUSIVE
-            report.decided_by = verdict.decided_by
-            report.reason = verdict.reason
-            report.error = f"forced method {method!r} is inconclusive: {verdict.reason}"
-            return report
-        # terminal stage: the oracle always decides
+    if verdict is not None and verdict.is_inconclusive and method != "auto":
+        report.error = f"forced method {method!r} is inconclusive: {verdict.reason}"
+    elif verdict is None or verdict.is_inconclusive:
+        # forced oracle, or the terminal stage of auto: the oracle decides
         verdict = _oracle_stage(report, t, tol)
         report.oracle_agrees = True
-        _finalize(report, verdict, t, tol)
-        return report
-
-    if oracle_check:
+    elif oracle_check:
         oracle_verdict = _oracle_stage(report, t, tol)
         report.oracle_agrees = oracle_verdict.outcome is verdict.outcome
         if not report.oracle_agrees:
