@@ -12,6 +12,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -100,6 +101,9 @@ def _cmd_gen(args) -> int:
         return 2
     if len(dims) < 2 or any(d < 1 for d in dims):
         print(f"error: dims must be >= 2 positive integers, got {dims}", file=sys.stderr)
+        return 2
+    if math.prod(dims) > state_io.MAX_ENTRIES:
+        print(f"error: {state_io.too_many_entries(dims)}", file=sys.stderr)
         return 2
     if args.product:
         tensor = gen_product_state(dims, args.seed, zero_avoidance=args.zero_avoidance)

@@ -24,12 +24,19 @@ with `repr`, so a dump/load round trip preserves every double bit-exactly.
 from __future__ import annotations
 
 import io as _io
+import math
 
 import numpy as np
 
 from .core import CoeffTensor
 
 FORMATS = ("dense", "sparse")
+
+# Largest entry count a `dims:` header (or `entcheck gen --dims`) may ask
+# for: 2**26 complex128 entries are 1 GiB.  The sparse loader allocates
+# the whole tensor from the header before it reads a single record, so
+# the cap is checked first.
+MAX_ENTRIES = 2**26
 
 
 class ParseError(ValueError):
@@ -69,7 +76,13 @@ def _parse_dims(headers):
         raise ParseError(line_no, f"bad dims {text!r}") from None
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ParseError(line_no, f"dims must be >= 2 positive integers, got {dims}")
+    if math.prod(dims) > MAX_ENTRIES:
+        raise ParseError(line_no, too_many_entries(dims))
     return dims
+
+
+def too_many_entries(dims) -> str:
+    return f"dims {dims} ask for {math.prod(dims)} entries, above the cap of {MAX_ENTRIES}"
 
 
 def loads(text: str, format: str = "dense") -> CoeffTensor:

@@ -1,11 +1,21 @@
 """Independent ground truth: rank-based factorization decisions.
 
 A tensor is a full product iff every mode unfolding has numeric rank 1.
-The rank computation here (complete-pivot Gaussian elimination) and the
-Schmidt decomposition (SVD) share no logic with the criterion modules,
-so agreement tests between the two routes are genuinely independent.
-Also hosts the deterministic random-state generators the property tests
-are built on.
+The oracle only has to decide "rank 1 or not" per unfolding, and one
+complete-pivot elimination step answers that in O(entries): take the
+pivot p, the entry of largest |c|, subtract the rank-1 term it spans
+(column through p divided by c[p], times row through p), and the
+unfolding has rank 1 iff no entry of the residual outside the pivot row
+and column exceeds eps_rank * |c[p]|.  That is the cutoff and the
+arithmetic of the second step of `numeric_rank`, done by broadcasting on
+the tensor, so no unfolding is copied.  The decision reports a rank of
+1, an exact 2 when the unfolding has a side of length 2, and ">=2"
+otherwise; `numeric_rank(unfold(t, k))` gives the exact rank.
+
+The elimination and the Schmidt decomposition (SVD) share no logic with
+the criterion modules, so agreement tests between the two routes are
+genuinely independent.  Also hosts the deterministic random-state
+generators the property tests are built on.
 """
 
 from __future__ import annotations
@@ -56,13 +66,73 @@ def numeric_rank(mat, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     return rank
 
 
-def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple:
-    return tuple(numeric_rank(unfold(t, k), tol) for k in range(1, t.party_count + 1))
+@dataclass(frozen=True)
+class RankDecision:
+    """Rank-1 decision for every mode unfolding of one tensor.
+
+    ranks       -- per unfolding: 1, 2 when a side of the unfolding has
+                   length 2 (so "at least 2" is exact), else ">=2".
+    pivot_ratio -- largest second-pivot / first-pivot ratio over all
+                   unfoldings; an unfolding has rank 1 iff its second
+                   pivot is at most eps_rank times the first.
+    """
+
+    ranks: tuple
+    pivot_ratio: float
+
+    @property
+    def factorized(self) -> bool:
+        return all(r == 1 for r in self.ranks)
+
+
+def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> RankDecision:
+    """Decide rank 1 for every mode unfolding from one complete-pivot step.
+
+    All unfoldings share the pivot p, the entry of largest |c|.  For
+    unfolding k the residual c - (c[p_1..:..p_r] / c[p]) (x) c[.., p_k, ..]
+    is formed by broadcasting into one reused buffer; its pivot row and
+    column are left out.  For two parties the second unfolding is the
+    transpose of the first and reuses its test.
+    """
+    c = t.array
+    r = t.party_count
+    magnitude = np.abs(c)
+    p = np.unravel_index(int(magnitude.argmax()), c.shape)
+    pivot = c[p]
+    largest = magnitude[p]
+    residual = np.empty_like(c)
+    seconds = []
+    for axis in range(1 if r == 2 else r):
+        fiber_at = p[:axis] + (slice(None),) + p[axis + 1 :]
+        row_at = (slice(None),) * axis + (p[axis],)
+        shape = [1] * r
+        shape[axis] = c.shape[axis]
+        np.multiply(
+            (c[fiber_at] / pivot).reshape(shape),
+            np.expand_dims(c[row_at], axis),
+            out=residual,
+        )
+        np.subtract(c, residual, out=residual)
+        np.abs(residual, out=magnitude)
+        magnitude[row_at] = 0.0
+        magnitude[fiber_at] = 0.0
+        seconds.append(magnitude.max())
+    if r == 2:
+        seconds.append(seconds[0])
+    ranks = []
+    for axis, second in enumerate(seconds):
+        if second <= tol.eps_rank * largest:
+            ranks.append(1)
+        elif min(c.shape[axis], c.size // c.shape[axis]) == 2:
+            ranks.append(2)
+        else:
+            ranks.append(">=2")
+    return RankDecision(tuple(ranks), float(max(seconds) / largest))
 
 
 def oracle_factorized(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """True iff every mode unfolding has numeric rank 1."""
-    return all(r == 1 for r in unfolding_ranks(t, tol))
+    return unfolding_ranks(t, tol).factorized
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .multipartite import multiparty_sum_test
 from .oracle import unfold, unfolding_ranks
 from .phase import magnitude_phase_test
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 METHODS = ("auto", "sum", "phase", "multi", "oracle")
 
@@ -71,6 +71,7 @@ class AnalysisReport:
     oracle_checked: bool = False
     oracle_says_factorized: Optional[bool] = None
     oracle_ranks: Optional[tuple] = None
+    oracle_pivot_ratio: Optional[float] = None
     oracle_agrees: Optional[bool] = None
     error: Optional[str] = None
 
@@ -118,18 +119,18 @@ def _run_stage(report, name, fn, t, tol):
 
 def _oracle_stage(report, t, tol):
     start = time.perf_counter()
-    ranks = unfolding_ranks(t, tol)
-    factorized = all(r == 1 for r in ranks)
+    decision = unfolding_ranks(t, tol)
     elapsed = (time.perf_counter() - start) * 1000.0
     verdict = Verdict(
-        Outcome.FACTORIZED if factorized else Outcome.ENTANGLED,
+        Outcome.FACTORIZED if decision.factorized else Outcome.ENTANGLED,
         ORACLE,
-        reason="unfolding ranks " + " ".join(str(r) for r in ranks),
+        reason="unfolding ranks " + " ".join(str(r) for r in decision.ranks),
     )
     report.stages.append(StageResult("oracle", verdict, elapsed))
     report.oracle_checked = True
-    report.oracle_says_factorized = factorized
-    report.oracle_ranks = ranks
+    report.oracle_says_factorized = decision.factorized
+    report.oracle_ranks = decision.ranks
+    report.oracle_pivot_ratio = decision.pivot_ratio
     return verdict
 
 
@@ -204,7 +205,7 @@ def analyze(
         if not report.oracle_agrees:
             report.error = (
                 f"criterion {verdict.decided_by!r} says {verdict.outcome.value} "
-                f"but unfolding ranks are {report.oracle_ranks}"
+                f"but the oracle found {oracle_verdict.reason}"
             )
     _finalize(report, verdict, t, tol)
     return report
@@ -261,6 +262,7 @@ def render_report(report: AnalysisReport, pretty: bool = False) -> str:
     if report.oracle_checked:
         emit(f"oracle_factorized: {str(report.oracle_says_factorized).lower()}")
         emit("oracle_ranks: " + " ".join(str(r) for r in report.oracle_ranks))
+        emit(f"oracle_pivot_ratio: {report.oracle_pivot_ratio!r}")
         emit(f"oracle_agrees: {str(report.oracle_agrees).lower()}")
     if report.error is not None:
         emit(f"error: {report.error}")

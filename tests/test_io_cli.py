@@ -81,7 +81,7 @@ def test_cli_factorized_exit_zero(tmp_path, capsys):
     path = write(tmp_path, "ex1.txt", EX1_DENSE)
     assert main(["analyze", "--input", path]) == 0
     out = capsys.readouterr().out
-    assert "report_version: 1" in out
+    assert "report_version: 2" in out
     assert "verdict: factorized" in out
     assert "decided_by: sum" in out
     assert "oracle_agrees: true" in out
