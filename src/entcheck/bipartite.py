@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, party_sums
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _all_party_sums
 
 
 class Outcome(enum.Enum):
@@ -102,7 +102,11 @@ def _require_bipartite(t: CoeffTensor):
 
 
 def _first_index(mask: np.ndarray) -> tuple:
-    return tuple(int(i) for i in np.argwhere(mask)[0])
+    """Multi-index of the first True entry in row-major order."""
+    flat = int(mask.argmax())
+    if not mask.flat[flat]:
+        raise ValueError("no True entry in the mask")
+    return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
 def _select_sum_witness(entries, prods, viol, tol, cmax):
@@ -114,8 +118,8 @@ def _select_sum_witness(entries, prods, viol, tol, cmax):
     row-sum * column-sum product vanishes, then a vanishing coefficient
     with a nonzero product, then the lexicographically first violation.
     """
-    entry_zero = np.abs(entries) <= tol.eps_mag * max(1.0, cmax)
-    prod_zero = np.abs(prods) <= tol.eps_mag * max(1.0, cmax * cmax)
+    entry_zero = np.abs(entries) <= tol.eps_mag * cmax
+    prod_zero = np.abs(prods) <= tol.eps_mag * cmax * cmax
     for tier in (viol & ~entry_zero & prod_zero, viol & entry_zero & ~prod_zero, viol):
         if tier.any():
             return _first_index(tier)
@@ -151,8 +155,8 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     c = t.array
     cmax = t.max_abs
     total = c.sum()
-    rows, cols = party_sums(t, 1), party_sums(t, 2)
-    scale = max(1.0, cmax * cmax)
+    rows, cols = _all_party_sums(c)
+    scale = cmax * cmax
 
     if abs(total) <= tol.eps_mag * cmax:
         prods = np.outer(rows, cols)
@@ -254,13 +258,13 @@ def sign_flip_recover(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> V
     c = t.array
     cmax = t.max_abs
     total = c.sum()
-    sums = (party_sums(t, 1), party_sums(t, 2))
+    sums = _all_party_sums(c)
     for axis in (0, 1):
         label = "row" if axis == 0 else "column"
         own, other = sums[axis], sums[1 - axis]
         other_max = np.abs(other - 2 * (c if axis == 0 else c.T)).max(axis=1)
         conclusive = (np.abs(total - 2 * own) > tol.eps_mag * cmax) | (
-            np.abs(own).max() * other_max > tol.eps_mag * max(1.0, cmax * cmax)
+            np.abs(own).max() * other_max > tol.eps_mag * cmax * cmax
         )
         if not conclusive.any():
             continue

@@ -123,12 +123,23 @@ def partial_sum(t: CoeffTensor, party: int, index: int) -> complex:
     return complex(t.array.take(index, axis=party - 1).sum())
 
 
-def party_sums(t: CoeffTensor, party: int) -> np.ndarray:
-    """All partial sums of one party at once, as a vector of length d_k."""
-    if not 1 <= party <= t.party_count:
-        raise IndexError(f"party {party} out of range 1..{t.party_count}")
-    axes = tuple(ax for ax in range(t.party_count) if ax != party - 1)
-    return t.array.sum(axis=axes)
+def _all_party_sums(c: np.ndarray) -> list:
+    """Every party's partial-sum vector, in party order.
+
+    The parties are split into two halves; viewing the array as a matrix
+    (first half's indices as rows), its row sums are the first half's
+    joint marginal and its column sums the second half's, and each
+    marginal recurses.  The first split reads the array twice and every
+    later one works on a marginal of about the square root of its size,
+    so the cost is about two passes however many parties there are.
+    """
+    if c.ndim == 1:
+        return [c]
+    half = c.ndim // 2
+    pairs = c.reshape(math.prod(c.shape[:half]), -1)
+    return _all_party_sums(pairs.sum(axis=1).reshape(c.shape[:half])) + _all_party_sums(
+        pairs.sum(axis=0).reshape(c.shape[half:])
+    )
 
 
 def approx_eq(x: complex, y: complex, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:

@@ -18,7 +18,7 @@ from .bipartite import (
     _first_index,
     _sum_violations,
 )
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, party_sums
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _all_party_sums
 
 
 def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -41,8 +41,8 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
         )
 
     power = total ** (r - 1)
-    partials = [party_sums(t, k) for k in range(1, r + 1)]
-    scale = max(1.0, cmax * abs(total) ** (r - 1))
+    partials = _all_party_sums(c)
+    scale = cmax * abs(total) ** (r - 1)
     _, resid, viol = _sum_violations(c, partials, power, scale, tol)
     if viol.any():
         idx = _first_index(viol)

@@ -8,7 +8,10 @@ pivot p, the entry of largest |c|, subtract the rank-1 term it spans
 unfolding has rank 1 iff no entry of the residual outside the pivot row
 and column exceeds eps_rank * |c[p]|.  That is the cutoff and the
 arithmetic of the second step of `numeric_rank`, done by broadcasting on
-the tensor, so no unfolding is copied.  The decision reports a rank of
+the tensor, so no unfolding is copied.  The residual is only formed on
+the slabs i_k < p_k and i_k > p_k (basic slices of the tensor), one slab
+at a time in a reused buffer: the pivot row is never computed, which
+halves the work for qubits.  The decision reports a rank of
 1, an exact 2 when the unfolding has a side of length 2, and ">=2"
 otherwise; `numeric_rank(unfold(t, k))` gives the exact rank.
 
@@ -90,9 +93,11 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
 
     All unfoldings share the pivot p, the entry of largest |c|.  For
     unfolding k the residual c - (c[p_1..:..p_r] / c[p]) (x) c[.., p_k, ..]
-    is formed by broadcasting into one reused buffer; its pivot row and
-    column are left out.  For two parties the second unfolding is the
-    transpose of the first and reuses its test.
+    is formed only on the two off-pivot slabs i_k < p_k and i_k > p_k
+    (the pivot row is left out, never computed), slab by slab in one
+    reused flat buffer whose magnitudes go into the buffer that held |c|;
+    the pivot column is zeroed in each slab.  For two parties the second
+    unfolding is the transpose of the first and reuses its test.
     """
     c = t.array
     r = t.party_count
@@ -100,23 +105,32 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
     p = np.unravel_index(int(magnitude.argmax()), c.shape)
     pivot = c[p]
     largest = magnitude[p]
-    residual = np.empty_like(c)
+    axes = range(1 if r == 2 else r)
+    residual = np.empty(
+        max(max(p[k], c.shape[k] - 1 - p[k]) * (c.size // c.shape[k]) for k in axes),
+        dtype=c.dtype,
+    )
+    magnitude = magnitude.reshape(-1)
     seconds = []
-    for axis in range(1 if r == 2 else r):
+    for axis in axes:
         fiber_at = p[:axis] + (slice(None),) + p[axis + 1 :]
-        row_at = (slice(None),) * axis + (p[axis],)
+        scaled_fiber = c[fiber_at] / pivot
+        row = np.expand_dims(c[(slice(None),) * axis + (p[axis],)], axis)
         shape = [1] * r
-        shape[axis] = c.shape[axis]
-        np.multiply(
-            (c[fiber_at] / pivot).reshape(shape),
-            np.expand_dims(c[row_at], axis),
-            out=residual,
-        )
-        np.subtract(c, residual, out=residual)
-        np.abs(residual, out=magnitude)
-        magnitude[row_at] = 0.0
-        magnitude[fiber_at] = 0.0
-        seconds.append(magnitude.max())
+        second = 0.0
+        for lo, hi in ((0, p[axis]), (p[axis] + 1, c.shape[axis])):
+            if lo == hi:
+                continue
+            slab = c[(slice(None),) * axis + (slice(lo, hi),)]
+            shape[axis] = hi - lo
+            out = residual[: slab.size].reshape(slab.shape)
+            np.multiply(scaled_fiber[lo:hi].reshape(shape), row, out=out)
+            np.subtract(slab, out, out=out)
+            slab_magnitude = magnitude[: slab.size].reshape(slab.shape)
+            np.abs(out, out=slab_magnitude)
+            slab_magnitude[fiber_at] = 0.0
+            second = max(second, slab_magnitude.max())
+        seconds.append(second)
     if r == 2:
         seconds.append(seconds[0])
     ranks = []

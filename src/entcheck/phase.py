@@ -161,7 +161,7 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     s = mags.sum()
     row_mag = mags.sum(axis=1)
     col_mag = mags.sum(axis=0)
-    _, resid, viol = _sum_violations(mags, (row_mag, col_mag), s, max(1.0, cmax * cmax), tol)
+    _, resid, viol = _sum_violations(mags, (row_mag, col_mag), s, cmax * cmax, tol)
     if viol.any():
         idx = _first_index(viol)
         return Verdict(
@@ -208,7 +208,7 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     a = mags_a * np.exp(1j * alpha)
     b = mags_b * np.exp(1j * beta)
     recon_resid = np.abs(np.outer(a, b) - c)
-    recon_bound = 10.0 * tol.eps_mag * max(1.0, cmax)
+    recon_bound = 10.0 * tol.eps_mag * cmax
     if recon_resid.max() > recon_bound:
         idx = tuple(int(v) for v in np.unravel_index(int(recon_resid.argmax()), c.shape))
         return Verdict(
