@@ -9,6 +9,7 @@ verdict is never inconclusive.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -153,9 +154,39 @@ def _finalize(report, verdict, t):
             factors = _oracle_factor_extraction(t)
         normalized = normalize_factors(factors)
         report.factors = normalized
-        report.reconstruction_residual = float(
-            np.abs(normalized.outer() - t.array).max()
-        )
+        report.reconstruction_residual = _reconstruction_residual(normalized, t.array)
+
+
+# Entries above which the reconstruction residual is taken slab by slab.
+_SLAB = 1 << 16
+
+
+def _reconstruction_residual(normalized, c) -> float:
+    """max |normalized.outer() - c| without the full-size outer product.
+
+    A large tensor is cut into slabs along the joint index of its leading
+    parties, each about `_SLAB` entries.  A slab's outer product starts
+    from the same entries of the leading parties' product and multiplies
+    in the trailing factors and then the scale in the same order as
+    `outer()`, so every entry, and the maximum, is bit-identical.
+    """
+    if c.size <= _SLAB:
+        return float(np.abs(normalized.outer() - c).max())
+    vectors = normalized.vectors
+    k = 1
+    while k < c.ndim - 1 and math.prod(c.shape[k:]) > _SLAB:
+        k += 1
+    lead = reduce(np.multiply.outer, vectors[:k]).reshape(-1)
+    rows = c.reshape(lead.size, -1)
+    step = max(1, _SLAB // rows.shape[1])
+    worst = [
+        np.abs(
+            normalized.scale * reduce(np.multiply.outer, vectors[k:], lead[i : i + step])
+            - rows[i : i + step].reshape((-1,) + c.shape[k:])
+        ).max()
+        for i in range(0, lead.size, step)
+    ]
+    return float(np.max(worst))
 
 
 def analyze(
