@@ -24,15 +24,18 @@ with `float`, and the two halves of each entry are stored as the real
 and imaginary doubles without arithmetic, so a dump/load round trip
 preserves every double bit-exactly, signed zeros included.
 
-Values are converted a block at a time with numpy, so the temporaries
-stay a small, fixed share of the tensor: the loaders split the text
-`_CHUNK` characters at a time and convert each piece's numbers in one
-call, and `dumps` formats `_BLOCK` numbers per call.  A piece with any
-malformed record or number is checked again line by line from the first
-body line, so the error reported is always the first malformed record of
-the file, with its line number, whatever the block size.  `repr` (about
-1 us a value) and `float` (about 0.3 us) are the floor of the per-value
-cost.
+Values are converted a block at a time with numpy: the loaders split
+the text `_CHUNK` characters at a time, cutting only at line feeds, and
+convert each piece's numbers in one call, and `dumps` formats `_BLOCK`
+numbers per call.  The conversion temporaries are bounded by the piece
+or block, except that a sparse load keeps a duplicate mask of one byte
+per entry, a text without line feeds (bare "\\r" line ends included) is
+one piece, and `dumps` holds its text twice, as blocks and joined.  A
+piece with any malformed record or number is checked again line by line
+from the first body line, so the error reported is always the first
+malformed record of the file, with its line number, whatever the block
+size.  `repr` (about 1 us a value) and `float` (about 0.3 us) are the
+floor of the per-value cost.
 """
 
 from __future__ import annotations
@@ -80,19 +83,24 @@ def _chunks(text, start=0):
         start = end
 
 
-def _data_lines(text, start, line_no):
-    """(line number, content) of every line of `text[start:]` that is not
-    blank or a comment; `line_no` is the number of the first line."""
+def _lines(text, start=0, line_no=1):
+    """(offset, line number, content) of every line of `text[start:]`
+    that is not blank or a comment; `line_no` is the number of the first
+    line, `offset` where the line starts in `text`, and `content` the
+    line without its comment and outer whitespace."""
     for chunk in _chunks(text, start):
-        for raw in chunk.splitlines():
+        for raw in chunk.splitlines(keepends=True):
             line = raw.split("#", 1)[0].strip()
             if line:
-                yield line_no, line
+                yield start, line_no, line
+            start += len(raw)
             line_no += 1
 
 
 def _chunk_rows(chunk):
-    """The tokens of each line of `chunk` that is not blank or a comment."""
+    """The tokens of each line of `chunk` that is not blank or a comment:
+    the lines of `_lines`, split, without the offsets and line numbers
+    that would make a sparse load about a fifth slower."""
     if "#" in chunk:
         return [row for raw in chunk.splitlines() if (row := raw.split("#", 1)[0].split())]
     return [row for row in map(str.split, chunk.splitlines()) if row]
@@ -101,20 +109,15 @@ def _chunk_rows(chunk):
 def _split_headers(text, allowed):
     """Headers from the top of the file, and where the body starts as
     (offset, line number): at the first data line that is not an
-    allowed header, or at the end of the text."""
+    allowed header, or at the end of the text (whose line number is
+    never read)."""
     headers = {}
-    start, line_no = 0, 1
-    for chunk in _chunks(text):
-        for raw in chunk.splitlines(keepends=True):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                key, sep, rest = line.partition(":")
-                if not (sep and key.strip() in allowed):
-                    return headers, (start, line_no)
-                headers[key.strip()] = (line_no, rest.strip())
-            start += len(raw)
-            line_no += 1
-    return headers, (start, line_no)
+    for start, line_no, line in _lines(text):
+        key, sep, rest = line.partition(":")
+        if not (sep and key.strip() in allowed):
+            return headers, (start, line_no)
+        headers[key.strip()] = (line_no, rest.strip())
+    return headers, (len(text), 0)
 
 
 def _parse_dims(headers):
@@ -170,7 +173,7 @@ def _loads_dense(text):
 
 def _check_numbers(text, body):
     """Raise the error of the first bad number of a dense body."""
-    for line_no, line in _data_lines(text, *body):
+    for _, line_no, line in _lines(text, *body):
         for field_no, tok in enumerate(line.split(), start=1):
             try:
                 float(tok)
@@ -238,7 +241,7 @@ def _check_records(text, body, dims, base):
     """Raise the error of the first malformed record of a sparse body."""
     r = len(dims)
     seen = set()
-    for line_no, line in _data_lines(text, *body):
+    for _, line_no, line in _lines(text, *body):
         tokens = line.split()
         if len(tokens) != r + 2:
             raise ParseError(

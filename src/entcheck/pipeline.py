@@ -157,21 +157,20 @@ def _finalize(report, verdict, t):
         report.reconstruction_residual = _reconstruction_residual(normalized, t.array)
 
 
-# Entries above which the reconstruction residual is taken slab by slab.
+# Entries per slab of the reconstruction residual.
 _SLAB = 1 << 16
 
 
 def _reconstruction_residual(normalized, c) -> float:
     """max |normalized.outer() - c| without the full-size outer product.
 
-    A large tensor is cut into slabs along the joint index of its leading
-    parties, each about `_SLAB` entries.  A slab's outer product starts
-    from the same entries of the leading parties' product and multiplies
-    in the trailing factors and then the scale in the same order as
-    `outer()`, so every entry, and the maximum, is bit-identical.
+    The tensor is cut into slabs along the joint index of its leading
+    parties, each about `_SLAB` entries; a tensor of at most `_SLAB`
+    entries is one slab, a single pass like `outer()`.  A slab's outer
+    product starts from the same entries of the leading parties' product
+    and multiplies in the trailing factors and then the scale in the same
+    order as `outer()`, so every entry, and the maximum, is bit-identical.
     """
-    if c.size <= _SLAB:
-        return float(np.abs(normalized.outer() - c).max())
     vectors = normalized.vectors
     k = 1
     while k < c.ndim - 1 and math.prod(c.shape[k:]) > _SLAB:
