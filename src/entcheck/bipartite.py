@@ -6,6 +6,13 @@ vanishes the product-of-sums shortcut may still certify entanglement;
 when that is silent too, the matrix is degenerate and either outcome is
 possible, so the caller must escalate (sign-flip heuristic, then the
 magnitude/phase test).
+
+Every criterion here is a per-entry identity, so one violating index
+decides.  The sum criterion runs on the core slab walk: each slab of
+about 2**14 entries forms its own products, residuals, bounds and mask,
+and the walk stops at the first slab that decides, so no temporary is
+the size of the matrix.  The sign-flip screen's per-line maxima are
+formed on the same walk.
 """
 
 from __future__ import annotations
@@ -17,7 +24,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _all_party_sums
+from .core import (
+    CoeffTensor,
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    _abs_range,
+    _all_party_sums,
+    _slab_walk,
+)
 
 
 class Outcome(enum.Enum):
@@ -109,37 +123,54 @@ def _first_index(mask: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.unravel_index(flat, mask.shape))
 
 
-def _select_sum_witness(entries, prods, viol, tol, cmax):
-    """Pick the reported violation of the sum criterion.
-
-    Violations where one side vanishes identically are exact
-    contradictions immune to the tolerance choice, so they are preferred
-    over plain numeric mismatches: first a nonzero coefficient whose
-    row-sum * column-sum product vanishes, then a vanishing coefficient
-    with a nonzero product, then the lexicographically first violation.
-    """
-    entry_zero = np.abs(entries) <= tol.eps_mag * cmax
-    prod_zero = np.abs(prods) <= tol.eps_mag * cmax * cmax
-    for tier in (viol & ~entry_zero & prod_zero, viol & entry_zero & ~prod_zero, viol):
-        if tier.any():
-            return _first_index(tier)
-    raise AssertionError("witness requested without violations")
+def _witness(c: np.ndarray, offset: int, mask: np.ndarray, values: np.ndarray) -> Witness:
+    """Witness at the first True entry of a slab's mask, `offset` the
+    slab's first flat index in `c`, with the slab's value there."""
+    j = int(mask.argmax())
+    index = np.unravel_index(offset + j, c.shape)
+    return Witness(tuple(int(i) for i in index), float(values.flat[j]))
 
 
-def _sum_violations(c, partials, power, floor, tol):
-    """The sum criterion c * power == outer product of the partial sums.
+def _sum_slabs(c, partials, power, floor, tol):
+    """The sum criterion c * power == outer product of the partial sums,
+    one slab of `c` at a time.
 
     `power` is S^(r-1) for the total sum S of r parties and `partials`
-    are the r per-party sum vectors.  Returns (rhs, resid, viol): the
-    outer product, |lhs - rhs|, and the mask of indices where the
-    residual exceeds eps_mag * max(floor, |lhs|, |rhs|).  A NaN residual
+    are the r per-party sum vectors.  Yields (offset, block, rhs, resid,
+    viol) per slab: the slab's first flat index, its entries, its part
+    of the outer product, |lhs - rhs|, and the mask of entries where the
+    residual exceeds eps_mag * max(floor, |lhs|, |rhs|).  The products
+    are formed in the order of the full outer product, so each residual
+    is bit-identical to a whole-array evaluation.  A NaN residual
     (inf - inf after overflow) counts as a violation.
     """
-    lhs = c * power
-    rhs = reduce(np.multiply.outer, partials)
-    resid = np.abs(lhs - rhs)
-    bound = tol.eps_mag * np.maximum(floor, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return rhs, resid, ~(resid <= bound)
+    for offset, block, rhs in _slab_walk(c, partials):
+        lhs = block * power
+        resid = np.abs(lhs - rhs)
+        bound = tol.eps_mag * np.maximum(floor, np.maximum(np.abs(lhs), np.abs(rhs)))
+        yield offset, block, rhs, resid, ~(resid <= bound)
+
+
+def _first_sum_violation(c, partials, power, floor, tol) -> Optional[Witness]:
+    """Witness at the first violation of the sum criterion in row-major
+    order, or None; stops at the first slab that has one."""
+    for offset, _, _, resid, viol in _sum_slabs(c, partials, power, floor, tol):
+        if viol.any():
+            return _witness(c, offset, viol, resid)
+    return None
+
+
+# Relative slack of the tier screen in `sum_test`.  The screen bounds
+# every computed |rowsum_i * colsum_j| from below by the computed
+# min|rowsum| * min|colsum|.  Each side is the exact |rowsum_i| |colsum_j|
+# within a few units of roundoff u = 2**-53: the complex product within
+# sqrt(5) u (Brent, Percival and Zimmermann, 2007), each modulus within
+# about u, the screen's real product within u, and subnormal parts of a
+# normal modulus add at most 2**-1075 each, a further u or so.  So when
+# the screen clears a normal threshold by 2**-46 = 128 u, no computed
+# product can fall to the threshold.
+_SCREEN_SLACK = 1.0 + 2.0**-46
+_TINY = float(np.finfo(float).tiny)
 
 
 def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -150,36 +181,64 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     factors fall out of the sums.  With a vanishing total sum a nonzero
     rowsum * colsum product certifies entanglement; otherwise the matrix
     is degenerate and the verdict is inconclusive.
+
+    Violations where one side vanishes identically are exact
+    contradictions immune to the tolerance choice, so the witness is, in
+    order of preference, the first nonzero coefficient whose row-sum *
+    column-sum product vanishes (tier 1), the first vanishing coefficient
+    with a nonzero product (tier 2), or the first violation (tier 3).
+    The matrix is walked in slabs.  When no entry and no sum product can
+    vanish, tiers 1 and 2 are empty and the walk stops at the first
+    violating slab; otherwise it goes on, keeping the first index of each
+    tier, until a tier-1 index turns up or the matrix ends.
     """
     _require_bipartite(t)
     c = t.array
-    cmax = t.max_abs
+    cmax, cmin = _abs_range(c)
     total = c.sum()
     rows, cols = _all_party_sums(c)
     scale = cmax * cmax
 
     if abs(total) <= tol.eps_mag * cmax:
-        prods = np.outer(rows, cols)
-        viol = np.abs(prods) > tol.eps_mag * scale
-        if viol.any():
-            idx = _first_index(viol)
-            return Verdict(
-                Outcome.ENTANGLED,
-                SUM_PRODUCT,
-                witness=Witness(idx, float(abs(prods[idx]))),
-                reason="total sum vanishes but a row-sum * column-sum product does not",
-            )
+        bound = tol.eps_mag * scale
+        for offset, _, prods in _slab_walk(c, (rows, cols)):
+            mags = np.abs(prods)
+            viol = mags > bound
+            if viol.any():
+                return Verdict(
+                    Outcome.ENTANGLED,
+                    SUM_PRODUCT,
+                    witness=_witness(c, offset, viol, mags),
+                    reason="total sum vanishes but a row-sum * column-sum product does not",
+                )
         return Verdict(
             Outcome.INCONCLUSIVE,
             DEGENERATE,
             reason="total sum and every row-sum * column-sum product vanish",
         )
 
-    prods, resid, viol = _sum_violations(c, (rows, cols), total, scale, tol)
-    if viol.any():
-        idx = _select_sum_witness(c, prods, viol, tol, cmax)
-        return Verdict(Outcome.ENTANGLED, SUM, witness=Witness(idx, float(resid[idx])))
-    return Verdict(Outcome.FACTORIZED, SUM, factors=extract_local_factors(t))
+    entry_cut = tol.eps_mag * cmax
+    prod_cut = tol.eps_mag * cmax * cmax
+    least_prod = float(np.abs(rows).min()) * float(np.abs(cols).min())
+    screened = cmin > entry_cut and least_prod > max(prod_cut, _TINY) * _SCREEN_SLACK
+    found = {}
+    for offset, block, prods, resid, viol in _sum_slabs(c, (rows, cols), total, scale, tol):
+        if not viol.any():
+            continue
+        if screened:
+            return Verdict(Outcome.ENTANGLED, SUM, witness=_witness(c, offset, viol, resid))
+        entry_zero = np.abs(block) <= entry_cut
+        prod_zero = np.abs(prods) <= prod_cut
+        exact = viol & ~entry_zero & prod_zero
+        if exact.any():
+            return Verdict(Outcome.ENTANGLED, SUM, witness=_witness(c, offset, exact, resid))
+        for tier, mask in ((2, viol & entry_zero & ~prod_zero), (3, viol)):
+            if tier not in found and mask.any():
+                found[tier] = _witness(c, offset, mask, resid)
+    if found:
+        return Verdict(Outcome.ENTANGLED, SUM, witness=found[min(found)])
+    # the same values extract_local_factors computes, bit for bit
+    return Verdict(Outcome.FACTORIZED, SUM, factors=LocalFactors((rows / total, cols)))
 
 
 def vanishing_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -261,10 +320,9 @@ def sign_flip_recover(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> V
     sums = _all_party_sums(c)
     for axis in (0, 1):
         label = "row" if axis == 0 else "column"
-        own, other = sums[axis], sums[1 - axis]
-        other_max = np.abs(other - 2 * (c if axis == 0 else c.T)).max(axis=1)
+        own = sums[axis]
         conclusive = (np.abs(total - 2 * own) > tol.eps_mag * cmax) | (
-            np.abs(own).max() * other_max > tol.eps_mag * cmax * cmax
+            np.abs(own).max() * _flipped_sum_max(c, sums, axis) > tol.eps_mag * cmax * cmax
         )
         if not conclusive.any():
             continue
@@ -272,7 +330,7 @@ def sign_flip_recover(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> V
         flipped = c.copy()
         lines = flipped if axis == 0 else flipped.T
         lines[idx] = -lines[idx]
-        verdict = sum_test(CoeffTensor(flipped), tol)
+        verdict = sum_test(CoeffTensor._adopt(flipped), tol)
         reason = f"{label} {idx} negated"
         if verdict.is_factorized:
             vecs = [v.copy() for v in verdict.factors.vectors]
@@ -288,3 +346,18 @@ def sign_flip_recover(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> V
         DEGENERATE,
         reason="every single row/column negation stays degenerate",
     )
+
+
+def _flipped_sum_max(c: np.ndarray, sums, axis: int) -> np.ndarray:
+    """Per row (axis 0) or column (axis 1) of `c`: the largest magnitude
+    of the other axis's sums once that line is negated, max |other - 2 *
+    line|.  Rows are finished slab by slab, columns are a running maximum
+    over the slab walk; no full-size temporary is formed."""
+    rows, cols = sums
+    if axis == 0:
+        return np.concatenate([np.abs(cols - 2 * block).max(axis=1) for _, block, _ in _slab_walk(c)])
+    worst = np.zeros(c.shape[1])
+    for offset, block, _ in _slab_walk(c):
+        i = offset // c.shape[1]
+        np.maximum(worst, np.abs(rows[i : i + len(block), None] - 2 * block).max(axis=0), out=worst)
+    return worst

@@ -4,8 +4,9 @@ entcheck analyze --input state.txt [--format dense|sparse] [--method ...]
 entcheck gen --product|--random --dims 2,2 [--seed N]
 
 Exit codes: 0 = factorized, 1 = entangled, 2 = error (including parse
-failures, criterion/oracle disagreement, and a forced method that stays
-inconclusive).  ENTCHECK_TOL_MAG overrides the default magnitude
+failures, criterion/oracle disagreement, a forced method that stays
+inconclusive, and any exception raised while analysing, rendering or
+generating).  ENTCHECK_TOL_MAG overrides the default magnitude
 tolerance.
 """
 
@@ -15,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+import traceback
 
 from . import io as state_io
 from .core import Tolerances
@@ -120,9 +122,17 @@ def _cmd_gen(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    return _cmd_gen(args)
+    try:
+        if args.command == "analyze":
+            return _cmd_analyze(args)
+        return _cmd_gen(args)
+    except Exception as exc:
+        # exit 1 means "entangled": a failure inside the analysis, the
+        # report or the generator (MemoryError included) must not read
+        # as a verdict.  KeyboardInterrupt is not an Exception.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

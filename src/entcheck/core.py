@@ -4,16 +4,31 @@ Everything downstream (the factorization criteria, the rank oracle, the
 CLI pipeline) works on a dense complex coefficient array with one axis
 per subsystem.  All values are immutable after construction and every
 operation here is a pure function.
+
+Full-size passes go through one slab walk, `_slab_walk`: the tensor in
+row-major slabs of about `_SLAB` = 2**14 entries, each with the matching
+slab of an outer product of per-party vectors.  The sum criteria and the
+reconstruction residual build their temporaries one slab at a time, so
+they stay a fraction of the input and a check can stop at the first
+slab that fails it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# Entries per slab of `_slab_walk`.  A slab's temporaries (a few arrays
+# of 256 KiB at most) stay in cache, and a check that fails early reads
+# little of the tensor.  On 256**2 matrices slabs of 2**12 to 2**14
+# entries ran alike; at 2**16 such a matrix is one slab and the early
+# exit is lost.
+_SLAB = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,16 +74,17 @@ class CoeffTensor:
         if dims is not None:
             dims = tuple(int(d) for d in dims)
             array = array.reshape(dims)
-        if array.ndim < 2:
-            raise ValueError(f"need at least 2 parties, got shape {array.shape}")
-        if any(d < 1 for d in array.shape):
-            raise ValueError(f"every dimension must be >= 1, got {array.shape}")
-        if not array.any():
-            raise ValueError("the zero tensor does not describe a state")
-        if not np.isfinite(array).all():
-            raise ValueError("entries must be finite, got NaN or inf")
-        array.setflags(write=False)
-        self._array = array
+        self._array = _checked(array)
+
+    @classmethod
+    def _adopt(cls, array: np.ndarray) -> "CoeffTensor":
+        """A tensor that takes over `array`, a complex128 array no one else
+        holds, without the copy the constructor makes; same checks."""
+        if array.dtype != np.complex128:
+            raise TypeError(f"can only adopt a complex128 array, got {array.dtype}")
+        t = cls.__new__(cls)
+        t._array = _checked(array)
+        return t
 
     @property
     def array(self) -> np.ndarray:
@@ -88,7 +104,7 @@ class CoeffTensor:
 
     @property
     def max_abs(self) -> float:
-        return float(np.abs(self._array).max())
+        return _abs_range(self._array)[0]
 
     @property
     def norm(self) -> float:
@@ -101,6 +117,57 @@ class CoeffTensor:
 
     def __repr__(self):
         return f"CoeffTensor(dims={self.dims})"
+
+
+def _checked(array: np.ndarray) -> np.ndarray:
+    """`array`, made read-only, once it passes the state checks."""
+    if array.ndim < 2:
+        raise ValueError(f"need at least 2 parties, got shape {array.shape}")
+    if any(d < 1 for d in array.shape):
+        raise ValueError(f"every dimension must be >= 1, got {array.shape}")
+    if not array.any():
+        raise ValueError("the zero tensor does not describe a state")
+    if not np.isfinite(array).all():
+        raise ValueError("entries must be finite, got NaN or inf")
+    array.setflags(write=False)
+    return array
+
+
+def _slab_walk(c: np.ndarray, vectors=()):
+    """Walk `c` in row-major slabs of about `_SLAB` entries.
+
+    The tensor is cut along the joint index of its leading k parties, k
+    the fewest (at most r - 1) that leave at most `_SLAB` trailing
+    entries; a slab is a run of consecutive leading indices, at least
+    one.  Yields (offset, block, outer): `block` is the slab, shaped
+    (rows,) + c.shape[k:], `offset` is the flat index of its first
+    entry, and `outer` is the same slab of
+    reduce(np.multiply.outer, vectors), or None without vectors.  The
+    slab's outer product starts from the leading parties' product and
+    multiplies in the trailing vectors in the order of the full reduce,
+    so every entry is bit-identical to it.
+    """
+    k = 1
+    while k < c.ndim - 1 and math.prod(c.shape[k:]) > _SLAB:
+        k += 1
+    tail = c.shape[k:]
+    width = math.prod(tail)
+    blocks = c.reshape((-1,) + tail)
+    step = max(1, _SLAB // width)
+    lead = reduce(np.multiply.outer, vectors[:k]).reshape(-1) if vectors else None
+    for i in range(0, blocks.shape[0], step):
+        outer = None if lead is None else reduce(np.multiply.outer, vectors[k:], lead[i : i + step])
+        yield i * width, blocks[i : i + step], outer
+
+
+def _abs_range(c: np.ndarray) -> tuple:
+    """(max |c|, min |c|) from one slab walk, without a full-size |c|."""
+    hi, lo = 0.0, math.inf
+    for _, block, _ in _slab_walk(c):
+        mags = np.abs(block)
+        hi = max(hi, float(mags.max()))
+        lo = min(lo, float(mags.min()))
+    return hi, lo
 
 
 def total_sum(t: CoeffTensor) -> complex:

@@ -168,7 +168,7 @@ def _loads_dense(text):
         raise ParseError(0, f"expected {size} numbers for dims {dims}, got {n}")
     if not flat.any():
         raise ParseError(0, "the zero tensor does not describe a state")
-    return CoeffTensor(flat.view(complex).reshape(dims))
+    return CoeffTensor._adopt(flat.view(complex).reshape(dims))
 
 
 def _check_numbers(text, body):
@@ -194,7 +194,7 @@ def _loads_sparse(text):
     entries = _sparse_entries(text, body, dims, base)
     if not entries.any():
         raise ParseError(0, "the zero tensor does not describe a state")
-    return CoeffTensor(entries.reshape(dims))
+    return CoeffTensor._adopt(entries.reshape(dims))
 
 
 def _sparse_entries(text, body, dims, base):

@@ -5,6 +5,10 @@ multi-index the coefficient times S^(r-1) equals the product of the r
 per-party partial sums.  The factor vectors fall out of the same sums.
 The degenerate S = 0 case has no analogue of the magnitude/phase test
 here; the pipeline escalates straight to the unfolding-rank oracle.
+
+The check runs slab by slab on the core slab walk and stops at the
+first violating slab, so a random tensor is decided from its first
+2**14 entries and no temporary is the size of the tensor.
 """
 
 from __future__ import annotations
@@ -14,9 +18,7 @@ from .bipartite import (
     LocalFactors,
     Outcome,
     Verdict,
-    Witness,
-    _first_index,
-    _sum_violations,
+    _first_sum_violation,
 )
 from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _all_party_sums
 
@@ -43,10 +45,9 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
     power = total ** (r - 1)
     partials = _all_party_sums(c)
     scale = cmax * abs(total) ** (r - 1)
-    _, resid, viol = _sum_violations(c, partials, power, scale, tol)
-    if viol.any():
-        idx = _first_index(viol)
-        return Verdict(Outcome.ENTANGLED, MULTI_SUM, witness=Witness(idx, float(resid[idx])))
+    witness = _first_sum_violation(c, partials, power, scale, tol)
+    if witness is not None:
+        return Verdict(Outcome.ENTANGLED, MULTI_SUM, witness=witness)
 
     vectors = [partials[0] / power] + partials[1:]
     return Verdict(Outcome.FACTORIZED, MULTI_SUM, factors=LocalFactors(vectors))

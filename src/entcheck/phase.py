@@ -30,8 +30,8 @@ from .bipartite import (
     Verdict,
     Witness,
     _first_index,
+    _first_sum_violation,
     _require_bipartite,
-    _sum_violations,
 )
 from .core import TWO_PI, CoeffTensor, DEFAULT_TOLERANCES, Tolerances
 
@@ -145,7 +145,8 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     """Decide factorization of any matrix, no total-sum restriction.
 
     Step 1 runs the sum criterion on the magnitude matrix |c_ij| (its
-    total is strictly positive, so there is no degenerate branch).
+    total is strictly positive, so there is no degenerate branch), slab
+    by slab, and stops at the first violating slab.
     Step 2 verifies the shared-constant phase identity at every entry of
     the nonzero support.  On success the factors are rebuilt from the
     magnitude sums and reference-anchored phases and checked by
@@ -161,13 +162,12 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     s = mags.sum()
     row_mag = mags.sum(axis=1)
     col_mag = mags.sum(axis=0)
-    _, resid, viol = _sum_violations(mags, (row_mag, col_mag), s, cmax * cmax, tol)
-    if viol.any():
-        idx = _first_index(viol)
+    witness = _first_sum_violation(mags, (row_mag, col_mag), s, cmax * cmax, tol)
+    if witness is not None:
         return Verdict(
             Outcome.ENTANGLED,
             MAG_PHASE,
-            witness=Witness(idx, float(resid[idx])),
+            witness=witness,
             reason="magnitude condition violated",
         )
 

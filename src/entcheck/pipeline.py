@@ -9,7 +9,6 @@ verdict is never inconclusive.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -25,7 +24,9 @@ from .bipartite import (
     sign_flip_recover,
     sum_test,
 )
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _slab_walk
+# The slab size, read here by the residual's tests.
+from .core import _SLAB  # noqa: F401
 from .multipartite import multiparty_sum_test
 from .oracle import unfolding_ranks
 # Not called here any more; the benchmark's tracer (perfbench/spans.py)
@@ -157,33 +158,16 @@ def _finalize(report, verdict, t):
         report.reconstruction_residual = _reconstruction_residual(normalized, t.array)
 
 
-# Entries per slab of the reconstruction residual.
-_SLAB = 1 << 16
-
-
 def _reconstruction_residual(normalized, c) -> float:
     """max |normalized.outer() - c| without the full-size outer product.
 
-    The tensor is cut into slabs along the joint index of its leading
-    parties, each about `_SLAB` entries; a tensor of at most `_SLAB`
-    entries is one slab, a single pass like `outer()`.  A slab's outer
-    product starts from the same entries of the leading parties' product
-    and multiplies in the trailing factors and then the scale in the same
-    order as `outer()`, so every entry, and the maximum, is bit-identical.
+    The slab walk hands over each slab of the factors' outer product,
+    multiplied in the same order as `outer()`, and the scale is applied
+    last as there, so every entry, and the maximum, is bit-identical.
     """
-    vectors = normalized.vectors
-    k = 1
-    while k < c.ndim - 1 and math.prod(c.shape[k:]) > _SLAB:
-        k += 1
-    lead = reduce(np.multiply.outer, vectors[:k]).reshape(-1)
-    rows = c.reshape(lead.size, -1)
-    step = max(1, _SLAB // rows.shape[1])
     worst = [
-        np.abs(
-            normalized.scale * reduce(np.multiply.outer, vectors[k:], lead[i : i + step])
-            - rows[i : i + step].reshape((-1,) + c.shape[k:])
-        ).max()
-        for i in range(0, lead.size, step)
+        np.abs(normalized.scale * outer - block).max()
+        for _, block, outer in _slab_walk(c, normalized.vectors)
     ]
     return float(np.max(worst))
 
