@@ -194,7 +194,7 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """
     _require_bipartite(t)
     c = t.array
-    cmax, cmin = _abs_range(c)
+    cmax, cmin, _ = _abs_range(c)
     total = c.sum()
     rows, cols = _all_party_sums(c)
     scale = cmax * cmax

@@ -4,10 +4,10 @@ entcheck analyze --input state.txt [--format dense|sparse] [--method ...]
 entcheck gen --product|--random --dims 2,2 [--seed N]
 
 Exit codes: 0 = factorized, 1 = entangled, 2 = error (including parse
-failures, criterion/oracle disagreement, a forced method that stays
-inconclusive, and any exception raised while analysing, rendering or
-generating).  ENTCHECK_TOL_MAG overrides the default magnitude
-tolerance.
+failures, a tolerance that is not a positive number, criterion/oracle
+disagreement, a forced method that stays inconclusive, and any
+exception raised while analysing, rendering or generating).
+ENTCHECK_TOL_MAG overrides the default magnitude tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def _default_tol_mag():
     try:
         return float(value)
     except ValueError:
-        raise SystemExit(f"ENTCHECK_TOL_MAG is not a number: {value!r}")
+        raise ValueError(f"ENTCHECK_TOL_MAG is not a number: {value!r}") from None
 
 
 def build_parser():
@@ -78,11 +78,15 @@ def build_parser():
 
 
 def _cmd_analyze(args) -> int:
-    tol = Tolerances(
-        eps_mag=args.tol_mag if args.tol_mag is not None else _default_tol_mag(),
-        eps_ang=args.tol_ang if args.tol_ang is not None else Tolerances.eps_ang,
-        eps_rank=args.tol_rank if args.tol_rank is not None else Tolerances.eps_rank,
-    )
+    try:
+        tol = Tolerances(
+            eps_mag=args.tol_mag if args.tol_mag is not None else _default_tol_mag(),
+            eps_ang=args.tol_ang if args.tol_ang is not None else Tolerances.eps_ang,
+            eps_rank=args.tol_rank if args.tol_rank is not None else Tolerances.eps_rank,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         tensor = state_io.load_state(args.input, args.format)
     except (OSError, ValueError) as exc:

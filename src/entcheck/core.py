@@ -10,7 +10,8 @@ row-major slabs of about `_SLAB` = 2**14 entries, each with the matching
 slab of an outer product of per-party vectors.  The sum criteria and the
 reconstruction residual build their temporaries one slab at a time, so
 they stay a fraction of the input and a check can stop at the first
-slab that fails it.
+slab that fails it.  The reconstruction checks of the pipeline and of
+the magnitude/phase test share one such walk, `_outer_residual`.
 """
 
 from __future__ import annotations
@@ -161,13 +162,35 @@ def _slab_walk(c: np.ndarray, vectors=()):
 
 
 def _abs_range(c: np.ndarray) -> tuple:
-    """(max |c|, min |c|) from one slab walk, without a full-size |c|."""
-    hi, lo = 0.0, math.inf
-    for _, block, _ in _slab_walk(c):
+    """(max |c|, min |c|, flat index of the first max in row-major order)
+    from one slab walk, without a full-size |c|."""
+    hi, lo, top = -1.0, math.inf, 0
+    for offset, block, _ in _slab_walk(c):
         mags = np.abs(block)
-        hi = max(hi, float(mags.max()))
+        k = int(mags.argmax())
+        if mags.flat[k] > hi:
+            hi, top = float(mags.flat[k]), offset + k
         lo = min(lo, float(mags.min()))
-    return hi, lo
+    return hi, lo, top
+
+
+def _outer_residual(c: np.ndarray, vectors, scale=None) -> tuple:
+    """(max |scale * reduce(np.multiply.outer, vectors) - c|, flat index of
+    its first occurrence), one slab at a time; no scale means 1.
+
+    Each slab's outer product is the one of `_slab_walk`, and the scale is
+    applied last, so every residual is bit-identical to the full-size
+    formula.  A NaN residual is the maximum, as it is for `np.max`.
+    """
+    worst, where = -1.0, 0
+    for offset, block, outer in _slab_walk(c, vectors):
+        resid = np.abs((outer if scale is None else scale * outer) - block)
+        k = int(resid.argmax())  # the first NaN, if there is one
+        if not resid.flat[k] <= worst:
+            worst, where = float(resid.flat[k]), offset + k
+            if math.isnan(worst):
+                break
+    return worst, where
 
 
 def total_sum(t: CoeffTensor) -> complex:

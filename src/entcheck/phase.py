@@ -9,10 +9,16 @@ single shared constant.
 
 Zero entries have no argument.  After the magnitude step passes, a zero
 entry can only sit in an entirely zero row or column, so the phase step
-works on the submatrix of nonzero rows and columns.  When that submatrix
-is not square it is squared up by replicating the reference row or
-column, which preserves factorizability in both directions and keeps the
-argument-count bookkeeping of the shared-constant identity valid.
+works on the live support, the m' rows and n' columns with an entry
+above the zero cutoff; an entry at or below it counts as argument 0 and
+is not checked, so the matrix itself serves as the grid.  The identity
+counts d = max(m', n') arguments per line, as if the support were
+squared up with d - m' copies of the reference row (or d - n' of the
+reference column).  The copies enter the column (row) sums as one
+multiple of the reference line, and their identities repeat the
+reference line's, which comes first in row-major order, so the square
+grid is never formed.  The identity is checked one slab at a time and
+the check stops at the first violating slab.
 """
 
 from __future__ import annotations
@@ -29,11 +35,27 @@ from .bipartite import (
     Outcome,
     Verdict,
     Witness,
-    _first_index,
     _first_sum_violation,
     _require_bipartite,
+    _witness,
 )
 from .core import TWO_PI, CoeffTensor, DEFAULT_TOLERANCES, Tolerances
+from .core import _abs_range, _outer_residual, _slab_walk
+
+# Rounding slack of the phase identity.  Its terms are sums of arguments
+# in [0, 2*pi), each within a relative error of its own size (Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 4), u = 2**-53: an
+# argument within 5u (np.angle at most 2 ulps, the fold into [0, 2*pi)
+# u); a row sum within 51u (numpy's pairwise sum of n <= 2**26 terms is
+# 25 + log2(n / 128) <= 44 additions deep, plus the copies' multiple); a
+# column sum within 33u (`_column_sums`, ceil(log2 m) <= 26 deep); d *
+# args[i, j] within 6u; every other step within u.  That is under 28 eps
+# (eps = 2u) of row_arg[i] + col_arg[j] + d * args[i, j], plus the same
+# at the reference entry, through the constant, and about eps * 2*pi for
+# the folds mod 2*pi.  Hence 32 eps times that sum: about 1e-7 radians at
+# the 2**26-entry cap, where a phase error delta at one entry moves its
+# identity by about d * delta.
+_PHASE_ROUNDING = 32 * float(np.finfo(float).eps)
 
 
 def circular_distance(x: float, y: float) -> float:
@@ -48,7 +70,8 @@ class PhaseSolution:
 
     For every entry above the zero cutoff, alpha_i + beta_j matches the
     entry's argument modulo 2*pi, and mags_a[i] * mags_b[j] matches the
-    entry's magnitude.  `d` is the squared-up working dimension.
+    entry's magnitude.  `d` is the squared-up working dimension,
+    max(live rows, live columns).
     """
 
     d: int
@@ -59,68 +82,41 @@ class PhaseSolution:
     mags_b: tuple
 
 
-def _nonzero_structure(c: np.ndarray, tol: Tolerances):
+def _support(c: np.ndarray, tol: Tolerances):
+    """(|c|, zero cutoff, live-row mask, live-column mask, (row, column) of
+    the first largest entry).  A live line has an entry above the cutoff;
+    the largest entry is always live."""
+    cmax, _, top = _abs_range(c)
     mags = np.abs(c)
-    cutoff = tol.eps_rank * mags.max()
-    nz = mags > cutoff
-    live_rows = np.flatnonzero(nz.any(axis=1))
-    live_cols = np.flatnonzero(nz.any(axis=0))
-    return mags, cutoff, live_rows, live_cols
+    cutoff = tol.eps_rank * cmax
+    live_rows = mags.max(axis=1) > cutoff
+    live_cols = mags.max(axis=0) > cutoff
+    return mags, cutoff, live_rows, live_cols, divmod(top, c.shape[1])
 
 
-def _squared_submatrix(c: np.ndarray, live_rows, live_cols):
-    """Nonzero-support submatrix, squared up by replicating the max row/column.
-
-    Returns (square matrix, row origin map, column origin map) where the
-    origin maps send each working row/column back to an original index.
-    """
-    sub = c[np.ix_(live_rows, live_cols)]
-    m2, n2 = sub.shape
-    ri, rj = np.unravel_index(int(np.abs(sub).argmax()), sub.shape)
-    row_map = list(live_rows)
-    col_map = list(live_cols)
-    if m2 < n2:
-        pad = np.repeat(sub[ri : ri + 1, :], n2 - m2, axis=0)
-        sub = np.vstack([sub, pad])
-        row_map += [live_rows[ri]] * (n2 - m2)
-    elif n2 < m2:
-        pad = np.repeat(sub[:, rj : rj + 1], m2 - n2, axis=1)
-        sub = np.hstack([sub, pad])
-        col_map += [live_cols[rj]] * (m2 - n2)
-    return sub, row_map, col_map
+def _arguments(z: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """Arguments of `z` in [0, 2*pi), 0 where `dead` marks an entry at or
+    below the zero cutoff."""
+    args = np.angle(z)
+    # np.mod(args, 2*pi) to the bit (up to the sign of zero) for angles in
+    # [-pi, pi], about 10x faster
+    np.add(args, TWO_PI, out=args, where=args < 0)
+    args[dead | (args >= TWO_PI)] = 0.0
+    return args
 
 
-def _phase_grid(c: np.ndarray, cutoff: float, live_rows, live_cols, ref=None):
-    """Argument grid of the squared-up nonzero support and its constant.
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Column sums added as a balanced tree, row i onto row i + m // 2
+    until one row is left: each is within ceil(log2 m) u of exact, where
+    adding row after row, as numpy's axis-0 sum does, is within (m - 1) u."""
+    while len(x) > 1:
+        half = len(x) // 2
+        x = np.concatenate((x[:half] + x[half : 2 * half], x[2 * half :]))
+    return x[0]
 
-    Returns (sq, row_map, col_map, args, nz, row_arg, col_arg, (i, j),
-    const): `args` holds each entry's argument in [0, 2*pi), 0 where `nz`
-    marks it at or below the zero cutoff; `row_arg` and `col_arg` are the
-    argument row and column sums; (i, j) is the working index of the
-    reference entry `ref` (an original index, default the largest entry)
-    and `const` the shared phase constant solved from it.
-    """
-    sq, row_map, col_map = _squared_submatrix(c, live_rows, live_cols)
-    nz = np.abs(sq) > cutoff
-    args = np.where(nz, np.mod(np.angle(sq), TWO_PI), 0.0)
-    args[args >= TWO_PI] = 0.0
-    row_arg = args.sum(axis=1)
-    col_arg = args.sum(axis=0)
-    d = sq.shape[0]
-    if ref is None:
-        i, j = np.unravel_index(int(np.abs(sq).argmax()), sq.shape)
-    else:
-        candidates = [
-            (i, j)
-            for i in range(d)
-            for j in range(d)
-            if (row_map[i], col_map[j]) == tuple(ref) and nz[i, j]
-        ]
-        if not candidates:
-            raise ValueError(f"reference entry {ref} is zero or outside the nonzero support")
-        i, j = candidates[0]
-    const = (row_arg[i] + col_arg[j] - d * args[i, j]) % TWO_PI
-    return sq, row_map, col_map, args, nz, row_arg, col_arg, (i, j), const
+
+def _entangled(witness: Witness, reason: str) -> Verdict:
+    return Verdict(Outcome.ENTANGLED, MAG_PHASE, witness=witness, reason=reason)
 
 
 def phase_constant(
@@ -137,8 +133,30 @@ def phase_constant(
     depend on the reference choice.
     """
     _require_bipartite(t)
-    _, cutoff, live_rows, live_cols = _nonzero_structure(t.array, tol)
-    return float(_phase_grid(t.array, cutoff, live_rows, live_cols, ref)[-1])
+    c = t.array
+    mags, cutoff, live_rows, live_cols, (ti, tj) = _support(c, tol)
+    i, j = (ti, tj) if ref is None else ref
+    if not (0 <= i < c.shape[0] and 0 <= j < c.shape[1] and mags[i, j] > cutoff):
+        raise ValueError(f"reference entry {ref} is zero or outside the nonzero support")
+    m2, n2 = int(live_rows.sum()), int(live_cols.sum())
+    d = max(m2, n2)
+
+    def arg(row, col):
+        return _arguments(c[row, col : col + 1], mags[row, col : col + 1] <= cutoff)[0]
+
+    row = _arguments(c[i, live_cols], mags[i, live_cols] <= cutoff)
+    col = _arguments(c[live_rows, j], mags[live_rows, j] <= cutoff)
+    # Only the reference row and column sums are needed, each added in
+    # the order of the squared-up d x d grid, so that the constant is
+    # the same to the bit: the grid put d - m' copies of the largest
+    # entry's row below the live rows (or d - n' copies of its column
+    # right of the live columns), and summed a row pairwise, a column
+    # row after row.  That is O(d) work, not a second grid.
+    if m2 < n2:
+        col = np.append(col, np.full(d - m2, arg(ti, j)))
+    elif n2 < m2:
+        row = np.append(row, np.full(d - n2, arg(i, tj)))
+    return float((row.sum() + np.add.accumulate(col)[-1] - d * arg(i, j)) % TWO_PI)
 
 
 def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -148,15 +166,16 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     total is strictly positive, so there is no degenerate branch), slab
     by slab, and stops at the first violating slab.
     Step 2 verifies the shared-constant phase identity at every entry of
-    the nonzero support.  On success the factors are rebuilt from the
-    magnitude sums and reference-anchored phases and checked by
-    reconstruction.
+    the live support, slab by slab.  On success the factors are rebuilt
+    from the magnitude sums and reference-anchored phases and checked by
+    reconstruction, slab by slab: the identity fixes each argument only
+    modulo 2*pi / d, so that check is what makes the test exact.
     """
     _require_bipartite(t)
     c = t.array
-    m, n = c.shape
-    mags, cutoff, live_rows, live_cols = _nonzero_structure(c, tol)
-    cmax = mags.max()
+    n = c.shape[1]
+    mags, cutoff, live_rows, live_cols, (ri, rj) = _support(c, tol)
+    cmax = mags[ri, rj]
 
     # Step 1: magnitude condition.
     s = mags.sum()
@@ -164,59 +183,47 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     col_mag = mags.sum(axis=0)
     witness = _first_sum_violation(mags, (row_mag, col_mag), s, cmax * cmax, tol)
     if witness is not None:
-        return Verdict(
-            Outcome.ENTANGLED,
-            MAG_PHASE,
-            witness=witness,
-            reason="magnitude condition violated",
-        )
+        return _entangled(witness, "magnitude condition violated")
 
-    # Step 2: phase condition on the squared-up nonzero support.
-    grid = _phase_grid(c, cutoff, live_rows, live_cols)
-    sq, row_map, col_map, args, nz, row_arg, col_arg, (ri, rj), const = grid
-    lhs_ang = np.add.outer(row_arg, col_arg) % TWO_PI
-    rhs_ang = (sq.shape[0] * args + const) % TWO_PI
-    delta = (lhs_ang - rhs_ang) % TWO_PI
-    dist = np.minimum(delta, TWO_PI - delta)
-    # angle noise blows up as 1/|entry|; relax near the zero cutoff
-    bound = np.where(np.abs(sq) <= 10.0 * cutoff, 10.0 * tol.eps_ang, tol.eps_ang)
-    bad = nz & (dist > bound)
-    if bad.any():
-        wi, wj = _first_index(bad)
-        idx = (int(row_map[wi]), int(col_map[wj]))
-        return Verdict(
-            Outcome.ENTANGLED,
-            MAG_PHASE,
-            witness=Witness(idx, float(dist[wi, wj])),
-            reason="phase condition violated",
-        )
+    # Step 2: phase condition on the live support, with the copies of the
+    # reference row or column that square it up folded into the sums.
+    m2, n2 = int(live_rows.sum()), int(live_cols.sum())
+    d = max(m2, n2)
+    args = _arguments(c, mags <= cutoff)
+    row_arg = args.sum(axis=1)
+    col_arg = _column_sums(args)
+    if m2 < d:
+        col_arg += (d - m2) * args[ri]
+    elif n2 < d:
+        row_arg += (d - n2) * args[:, rj]
+    const = (row_arg[ri] + col_arg[rj] - d * args[ri, rj]) % TWO_PI
+    ref_size = row_arg[ri] + col_arg[rj] + d * args[ri, rj] + TWO_PI
+    for offset, block, _ in _slab_walk(args):
+        rows = slice(offset // n, offset // n + len(block))
+        sums = np.add.outer(row_arg[rows], col_arg)
+        x = sums - d * block - const
+        # circular distance of x from 0; np.mod is 10x slower than rint
+        dist = np.abs(x - TWO_PI * np.rint(x / TWO_PI))
+        # angle noise blows up as 1/|entry|; relax near the zero cutoff
+        bound = np.where(mags[rows] <= 10.0 * cutoff, 10.0 * tol.eps_ang, tol.eps_ang)
+        bound += _PHASE_ROUNDING * (sums + d * block + ref_size)
+        bad = (mags[rows] > cutoff) & (dist > bound)
+        if bad.any():
+            return _entangled(_witness(c, offset, bad, dist), "phase condition violated")
+        del sums, x, dist, bound, bad  # before the next slab's are made
+    del args, mags  # nor does the reconstruction need these
 
     # Reconstruct factors: magnitudes from the sums, phases anchored at
-    # the reference row/column of the nonzero support.
-    alpha = np.zeros(m)
-    beta = np.zeros(n)
-    ref_row = row_map[ri]
-    ref_col = col_map[rj]
-    ref_arg = math.atan2(c[ref_row, ref_col].imag, c[ref_row, ref_col].real)
-    for i in live_rows:
-        alpha[i] = (np.angle(c[i, ref_col]) - ref_arg) % TWO_PI
-    for j in live_cols:
-        beta[j] = np.angle(c[ref_row, j]) % TWO_PI
-    mags_a = row_mag / s
-    mags_b = col_mag.copy()
-
-    a = mags_a * np.exp(1j * alpha)
-    b = mags_b * np.exp(1j * beta)
-    recon_resid = np.abs(np.outer(a, b) - c)
-    recon_bound = 10.0 * tol.eps_mag * cmax
-    if recon_resid.max() > recon_bound:
-        idx = tuple(int(v) for v in np.unravel_index(int(recon_resid.argmax()), c.shape))
-        return Verdict(
-            Outcome.ENTANGLED,
-            MAG_PHASE,
-            witness=Witness(idx, float(recon_resid[idx])),
-            reason="phase grid admits no consistent factor reconstruction",
-        )
+    # the reference row and column.
+    ref_arg = math.atan2(c[ri, rj].imag, c[ri, rj].real)
+    alpha = np.where(live_rows, np.angle(c[:, rj]) - ref_arg, 0.0)
+    beta = np.where(live_cols, np.angle(c[ri]), 0.0)
+    a = row_mag / s * np.exp(1j * alpha)
+    b = col_mag * np.exp(1j * beta)
+    worst, where = _outer_residual(c, (a, b))
+    if worst > 10.0 * tol.eps_mag * cmax:
+        witness = Witness(tuple(int(v) for v in divmod(where, n)), worst)
+        return _entangled(witness, "phase grid admits no consistent factor reconstruction")
     return Verdict(Outcome.FACTORIZED, MAG_PHASE, factors=LocalFactors((a, b)))
 
 
@@ -230,10 +237,9 @@ def solve_phases(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Option
     mags_b = np.abs(b)
     alpha = tuple(float(np.mod(np.angle(x), TWO_PI)) if abs(x) > 0 else 0.0 for x in a)
     beta = tuple(float(np.mod(np.angle(x), TWO_PI)) if abs(x) > 0 else 0.0 for x in b)
-    _, _, live_rows, live_cols = _nonzero_structure(t.array, tol)
-    d = max(len(live_rows), len(live_cols))
+    _, _, live_rows, live_cols, _ = _support(t.array, tol)
     return PhaseSolution(
-        d=d,
+        d=int(max(live_rows.sum(), live_cols.sum())),
         c=phase_constant(t, tol),
         alpha=alpha,
         beta=beta,

@@ -24,7 +24,7 @@ from .bipartite import (
     sign_flip_recover,
     sum_test,
 )
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _slab_walk
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _outer_residual
 # The slab size, read here by the residual's tests.
 from .core import _SLAB  # noqa: F401
 from .multipartite import multiparty_sum_test
@@ -104,7 +104,7 @@ def normalize_factors(factors: LocalFactors) -> NormalizedFactors:
 
 def _oracle_factor_extraction(t: CoeffTensor) -> LocalFactors:
     """Factors for a tensor the oracle certified rank-1: the fibres
-    through the oracle's pivot p = argmax |c|.
+    through the oracle's pivot p, the first entry of largest |c|.
 
     For c = a_1 (x) ... (x) a_r the fibre of party k through p is a_k
     times the product of the other a_j[p_j], so the outer product of all
@@ -112,7 +112,7 @@ def _oracle_factor_extraction(t: CoeffTensor) -> LocalFactors:
     c[p] removes that power without ever forming it.
     """
     c = t.array
-    p = np.unravel_index(int(np.abs(c).argmax()), c.shape)
+    p = np.unravel_index(_abs_range(c)[2], c.shape)
     fibres = [c[p[:k] + (slice(None),) + p[k + 1 :]] for k in range(t.party_count)]
     return LocalFactors([fibres[0]] + [f / c[p] for f in fibres[1:]])
 
@@ -159,17 +159,9 @@ def _finalize(report, verdict, t):
 
 
 def _reconstruction_residual(normalized, c) -> float:
-    """max |normalized.outer() - c| without the full-size outer product.
-
-    The slab walk hands over each slab of the factors' outer product,
-    multiplied in the same order as `outer()`, and the scale is applied
-    last as there, so every entry, and the maximum, is bit-identical.
-    """
-    worst = [
-        np.abs(normalized.scale * outer - block).max()
-        for _, block, outer in _slab_walk(c, normalized.vectors)
-    ]
-    return float(np.max(worst))
+    """max |normalized.outer() - c|, bit for bit, without the full-size
+    outer product."""
+    return _outer_residual(c, normalized.vectors, normalized.scale)[0]
 
 
 def analyze(
