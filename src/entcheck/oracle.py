@@ -15,20 +15,56 @@ halves the work for qubits.  The decision reports a rank of
 1, an exact 2 when the unfolding has a side of length 2, and ">=2"
 otherwise; `numeric_rank(unfold(t, k))` gives the exact rank.
 
-The elimination and the Schmidt decomposition (SVD) share no logic with
-the criterion modules, so agreement tests between the two routes are
-genuinely independent.  Also hosts the deterministic random-state
-generators the property tests are built on.
+For r >= 3 parties the pipeline may first try `_rank_one_screen`, which
+needs one pass instead of r.  Let f_k be the fibre of party k through p
+and G = f_1 (x) (f_2/c[p]) (x) ... (x) (f_r/c[p]), the product of the
+pivot factors (`_pivot_factors`), and E = c - G.  G restricted to
+i_k = p_k, spread along party k by f_k/c[p], is G again, so unfolding k's
+elimination residual is E - (f_k/c[p]) (x)_k E|_{i_k = p_k}; since
+|f_k| <= |c[p]| its largest entry is at most 2 max|E|.  The screen walks
+max|E| in slabs and stops at the first slab over its budget.  When 2
+max|E| plus a rounding term is at most eps_rank * |c[p]| / 4, every
+unfolding has rank 1 and the screen reports that bound, divided by
+|c[p]|, as the pivot ratio: an upper bound on the ratio
+`unfolding_ranks` computes.  Otherwise `unfolding_ranks` decides,
+unchanged.
+
+The elimination, the screen and the Schmidt decomposition (SVD) share
+no logic with the criterion modules, so agreement tests between the two
+routes are genuinely independent.  Also hosts the deterministic
+random-state generators the property tests are built on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import Optional
 
 import numpy as np
 
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _slab_walk
+
+# Rounding allowance of `_rank_one_screen`, per party, in units of |c[p]|.
+# With u = eps/2: a complex quotient is off by at most about 6u (Smith's
+# formula, which numpy uses; 10u is allowed), a complex product by at
+# most sqrt(5)u < 3u.  `unfolding_ranks` forms each residual entry with
+# one quotient, one product, one difference and one modulus, so it sits
+# at most 16u above the exact one.  The screen's G takes r - 1 quotients
+# and r - 1 products, so the computed |E| may fall 13(r - 1)u short of
+# the exact one, which the factor 2 doubles.  The difference, the
+# modulus, both ratios to |c[p]| and the sums of the bound add about 10u
+# relative on quantities of at most 2 (|E| <= |c| + |G| <= 2|c[p]|),
+# and subnormal results, which the screen's floor keeps below u/4 per
+# operation, a few u more.  That is at most (26r + 60)u, under 46ru for
+# r >= 3; 64ru is allowed.
+_SCREEN_ROUNDING = 32 * float(np.finfo(float).eps)
+
+# Smallest |c[p]| the screen takes.  Below it the absolute rounding of
+# subnormal results (2**-1075) is no longer small against u * |c[p]|,
+# and `unfolding_ranks` decides.
+_SCREEN_FLOOR = 4 * float(np.finfo(float).tiny)
 
 
 def unfold(t: CoeffTensor, party: int) -> np.ndarray:
@@ -142,6 +178,55 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
         else:
             ranks.append(">=2")
     return RankDecision(tuple(ranks), float(max(seconds) / largest))
+
+
+def _pivot_factors(c: np.ndarray) -> tuple:
+    """(p, vectors): the pivot p, the first entry of largest |c| in
+    row-major order, and the fibres of every party through it, each but
+    party 1's divided by c[p].
+
+    For c = a_1 (x) ... (x) a_r the fibre of party k through p is a_k
+    times the product of the other a_j[p_j], so the outer product of all
+    r fibres is c * c[p]^(r-1).  Dividing each fibre but party 1's by
+    c[p] removes that power without ever forming it, and leaves the
+    factors of a rank-1 tensor.
+    """
+    p = np.unravel_index(_abs_range(c)[2], c.shape)
+    fibres = [c[p[:k] + (slice(None),) + p[k + 1 :]] for k in range(c.ndim)]
+    return p, [fibres[0]] + [f / c[p] for f in fibres[1:]]
+
+
+def _rank_one_screen(c: np.ndarray, p: tuple, vectors, tol: Tolerances) -> Optional[RankDecision]:
+    """Ranks 1 for every unfolding, and a bound on the pivot ratio, when
+    the outer product of the pivot factors `vectors` (`_pivot_factors`)
+    is close enough to c; None when `unfolding_ranks` must decide.
+
+    The bound is 2 max|E| / |c[p]| plus r * `_SCREEN_ROUNDING`, and it is
+    accepted when at most eps_rank / 4.  The walk stops at the first
+    slab over that budget.  It runs on c and G scaled by the power of two
+    that brings |c[p]| into [0.5, 1): exact, so outcome and bound do not
+    change under a power-of-two scaling of c, and the small entries of E
+    never go subnormal.
+    """
+    rounding = c.ndim * _SCREEN_ROUNDING
+    budget = tol.eps_rank / 4 - rounding  # what 2 max|E| / |c[p]| may use
+    largest = abs(c[p])
+    if not (budget > 0 and largest >= _SCREEN_FLOOR):
+        return None
+    scale = math.ldexp(1.0, -math.frexp(largest)[1])
+    largest *= scale
+    limit = budget / 2 * largest
+    worst = 0.0
+    for _, block, outer in _slab_walk(c, [vectors[0] * scale, *vectors[1:]]):
+        diff = block * scale
+        diff -= outer
+        worst = max(worst, float(np.abs(diff).max()))
+        if worst > limit:
+            return None
+    bound = 2 * (worst / largest) + rounding
+    if bound > tol.eps_rank / 4:
+        return None
+    return RankDecision((1,) * c.ndim, float(bound))
 
 
 def oracle_factorized(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:

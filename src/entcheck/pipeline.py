@@ -5,6 +5,17 @@ the magnitude/phase test; r >= 3 inputs run the multiparty sum test and
 fall back to the rank oracle.  The oracle is also run as a cross-check
 of every conclusive criterion verdict unless disabled, and the final
 verdict is never inconclusive.
+
+Where the oracle may answer rank 1 (it decides, or it checks a
+factorized verdict), an input of r >= 3 parties first meets the oracle's
+one-pass rank-1 screen; only what the screen cannot certify goes on to
+`unfolding_ranks`.  The verdict only picks which of two sound routes
+runs, and the screen never reads the criteria's numbers, so the
+cross-check stays independent: a criterion that wrongly says
+"entangled" on a product still meets the full oracle.  Entangled
+verdicts and 2-party inputs go straight to `unfolding_ranks`, so their
+`oracle_pivot_ratio` is always the exact one; a screened product reports
+the screen's upper bound.
 """
 
 from __future__ import annotations
@@ -24,11 +35,11 @@ from .bipartite import (
     sign_flip_recover,
     sum_test,
 )
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _outer_residual
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _outer_residual
 # The slab size, read here by the residual's tests.
 from .core import _SLAB  # noqa: F401
 from .multipartite import multiparty_sum_test
-from .oracle import unfolding_ranks
+from .oracle import _pivot_factors, _rank_one_screen, unfolding_ranks
 # Not called here any more; the benchmark's tracer (perfbench/spans.py)
 # still counts calls at `pipeline.unfold`, so the name stays importable.
 from .oracle import unfold  # noqa: F401
@@ -104,17 +115,8 @@ def normalize_factors(factors: LocalFactors) -> NormalizedFactors:
 
 def _oracle_factor_extraction(t: CoeffTensor) -> LocalFactors:
     """Factors for a tensor the oracle certified rank-1: the fibres
-    through the oracle's pivot p, the first entry of largest |c|.
-
-    For c = a_1 (x) ... (x) a_r the fibre of party k through p is a_k
-    times the product of the other a_j[p_j], so the outer product of all
-    r fibres is c * c[p]^(r-1).  Dividing each fibre but party 1's by
-    c[p] removes that power without ever forming it.
-    """
-    c = t.array
-    p = np.unravel_index(_abs_range(c)[2], c.shape)
-    fibres = [c[p[:k] + (slice(None),) + p[k + 1 :]] for k in range(t.party_count)]
-    return LocalFactors([fibres[0]] + [f / c[p] for f in fibres[1:]])
+    through the oracle's pivot (`oracle._pivot_factors`)."""
+    return LocalFactors(_pivot_factors(t.array)[1])
 
 
 def _run_stage(report, name, fn, t, tol):
@@ -125,13 +127,25 @@ def _run_stage(report, name, fn, t, tol):
     return verdict
 
 
-def _oracle_stage(report, t, tol):
+def _oracle_stage(report, t, tol, screen):
+    """Run the oracle.  With `screen` (the oracle decides, or checks a
+    factorized verdict) a tensor of r >= 3 parties first meets the
+    one-pass rank-1 screen, and its pivot factors ride on a factorized
+    verdict for `_finalize`; an entangled verdict and every 2-party
+    tensor go straight to `unfolding_ranks`."""
     start = time.perf_counter()
-    decision = unfolding_ranks(t, tol)
+    decision = factors = None
+    if screen and t.party_count >= 3:
+        p, vectors = _pivot_factors(t.array)
+        decision = _rank_one_screen(t.array, p, vectors, tol)
+        factors = LocalFactors(vectors)
+    if decision is None:
+        decision = unfolding_ranks(t, tol)
     elapsed = (time.perf_counter() - start) * 1000.0
     verdict = Verdict(
         Outcome.FACTORIZED if decision.factorized else Outcome.ENTANGLED,
         ORACLE,
+        factors=factors if decision.factorized else None,
         reason="unfolding ranks " + " ".join(str(r) for r in decision.ranks),
     )
     report.stages.append(StageResult("oracle", verdict, elapsed))
@@ -209,10 +223,10 @@ def analyze(
         report.error = f"forced method {method!r} is inconclusive: {verdict.reason}"
     elif verdict is None or verdict.is_inconclusive:
         # forced oracle, or the terminal stage of auto: the oracle decides
-        verdict = _oracle_stage(report, t, tol)
+        verdict = _oracle_stage(report, t, tol, screen=True)
         report.oracle_agrees = True
     elif oracle_check:
-        oracle_verdict = _oracle_stage(report, t, tol)
+        oracle_verdict = _oracle_stage(report, t, tol, screen=verdict.is_factorized)
         report.oracle_agrees = oracle_verdict.outcome is verdict.outcome
         if not report.oracle_agrees:
             report.error = (
