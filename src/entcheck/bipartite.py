@@ -143,12 +143,34 @@ def _sum_slabs(c, partials, power, floor, tol):
     are formed in the order of the full outer product, so each residual
     is bit-identical to a whole-array evaluation.  A NaN residual
     (inf - inf after overflow) counts as a violation.
+
+    The bound is formed in two steps.  The first is eps_mag * max(floor,
+    |lhs|), without |rhs|; only a slab where some entry fails it pays
+    for |rhs|, widening the bound in place to the full one and forming
+    the mask again.  A product passes every slab at the first step.  The
+    mask is the one-step mask, bit for bit: rounding is monotone, so
+    fl(eps * max(a, b)) = max(fl(eps * a), fl(eps * b)) and the widened
+    bound is the one-step bound, while the first bound is no larger, so
+    an entry that passes it passes the one-step bound too.  The only
+    value the first step cannot see is a NaN |rhs|, which makes the
+    one-step bound NaN; but a NaN rhs makes the residual NaN as well,
+    and a NaN residual fails every bound.
     """
+    eps = tol.eps_mag
     for offset, block, rhs in _slab_walk(c, partials):
         lhs = block * power
-        resid = np.abs(lhs - rhs)
-        bound = tol.eps_mag * np.maximum(floor, np.maximum(np.abs(lhs), np.abs(rhs)))
-        yield offset, block, rhs, resid, ~(resid <= bound)
+        bound = np.abs(lhs)
+        lhs -= rhs
+        resid = np.abs(lhs)
+        np.maximum(bound, floor, out=bound)
+        bound *= eps
+        viol = ~(resid <= bound)
+        if viol.any():
+            rhs_bound = np.abs(rhs)
+            rhs_bound *= eps
+            np.maximum(bound, rhs_bound, out=bound)
+            viol = ~(resid <= bound)
+        yield offset, block, rhs, resid, viol
 
 
 def _first_sum_violation(c, partials, power, floor, tol) -> Optional[Witness]:

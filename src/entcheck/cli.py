@@ -115,12 +115,11 @@ def _cmd_gen(args) -> int:
         tensor = gen_product_state(dims, args.seed, zero_avoidance=args.zero_avoidance)
     else:
         tensor = gen_random_state(dims, args.seed)
-    text = state_io.dumps(tensor, args.out_format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            state_io.dumps(tensor, args.out_format, fh)
     else:
-        sys.stdout.write(text)
+        state_io.dumps(tensor, args.out_format, sys.stdout)
     return 0
 
 

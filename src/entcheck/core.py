@@ -10,15 +10,19 @@ row-major slabs of about `_SLAB` = 2**14 entries, each with the matching
 slab of an outer product of per-party vectors.  The sum criteria and the
 reconstruction residual build their temporaries one slab at a time, so
 they stay a fraction of the input and a check can stop at the first
-slab that fails it.  The reconstruction checks of the pipeline and of
-the magnitude/phase test share one such walk, `_outer_residual`.
+slab that fails it.  The walk forms the product of the leading parties'
+vectors once and, per slab, multiplies the trailing parties' vectors
+into its run of that lead product in long loops; each entry is the
+chain of multiplications of reduce(np.multiply.outer, vectors), so the
+outer products are bit-identical to the full-size one.  The
+reconstruction checks of the pipeline and of the magnitude/phase test
+share one such walk, `_outer_residual`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -30,6 +34,18 @@ TWO_PI = 2.0 * math.pi
 # entries ran alike; at 2**16 such a matrix is one slab and the early
 # exit is lost.
 _SLAB = 1 << 14
+
+# `_outer_rows` multiplies a party of dimension at most `_SHORT` into a
+# run of at least `_LONG` entries with one long loop per index.  Per
+# multiplication into 2**14 entries (2 shared x86-64 cores with
+# AVX-512, numpy 2.4, one thread, best of 50), the long loops against
+# np.multiply.outer took 15 against 77 us for d = 2, 22 against 171 for
+# d = 3 and 29 against 54 for d = 4; walks of 5**7 and 8**5 products ran
+# alike with a crossover of 4 or 8, and 16 was slower on small tensors.
+# Below about 256 entries the d calls cost more than the short loops
+# they replace.
+_SHORT = 4
+_LONG = 256
 
 
 @dataclass(frozen=True)
@@ -109,7 +125,8 @@ class CoeffTensor:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self._array))
+        with np.errstate(over="ignore", under="ignore"):
+            return math.ldexp(*_norm_and_exponent(self._array))
 
     def __eq__(self, other):
         if not isinstance(other, CoeffTensor):
@@ -134,31 +151,101 @@ def _checked(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _ldexp(a: np.ndarray, n: int) -> np.ndarray:
+    """a * 2**n for a complex array, each part rounded once: exact
+    unless it overflows or goes subnormal."""
+    out = np.empty(a.shape, dtype=complex)
+    np.ldexp(a.real, n, out=out.real)
+    np.ldexp(a.imag, n, out=out.imag)
+    return out
+
+
+def _norm_and_exponent(a: np.ndarray) -> tuple:
+    """(||a * 2**-e||, e) for a complex array.
+
+    e is 0, and the norm np.linalg.norm(a), where the plain sum of
+    squares neither overflows nor falls below 2**-960; above that floor
+    the squares that underflow lose at most 2**-1074 each, a relative
+    2**-114 of the sum per entry.  Elsewhere e is the binary exponent of
+    max|a|.  Scaling by a power of two is exact, so the norm of a * 2**k
+    is the norm of a times 2**k, bit for bit, at every scale.  The plain
+    sum of squares may overflow, so call this with numpy's overflow and
+    underflow errors ignored.
+    """
+    nrm = float(np.linalg.norm(a))
+    if 2.0**-480 <= nrm < math.inf:
+        return nrm, 0
+    e = math.frexp(float(np.abs(a).max()))[1]
+    return float(np.linalg.norm(_ldexp(a, -e))), e
+
+
+def _outer_rows(x: np.ndarray, vectors, whole: bool = True) -> np.ndarray:
+    """reduce(np.multiply.outer, vectors, x), flattened, for `x` the whole
+    product of the parties before `vectors` or, not `whole`, a run of it.
+
+    A party of dimension at most `_SHORT`, multiplied into at least
+    `_LONG` entries, goes in with one ufunc call per index j,
+    np.multiply(x, v[j]) into column j of the result: one loop over all
+    of x, where np.multiply.outer runs one loop of length len(v) per
+    entry of x.  Both form every x[i] * v[j] with the same operands in
+    the same order, so each entry is bit-identical to the reduce.
+
+    numpy's vector loops for complex products fuse a multiply and an add
+    where the CPU can, but a 1 x 1 outer product takes its scalar loop,
+    which does not.  So a one-entry run of a longer product meets a party
+    of dimension 1 in the long-loop form, fused as the whole product's
+    outer product would be.
+    """
+    for v in vectors:
+        if (len(v) <= _SHORT and len(x) >= _LONG) or (len(x) == len(v) == 1 and not whole):
+            out = np.empty((len(x), len(v)), dtype=np.result_type(x, v))
+            for j in range(len(v)):
+                np.multiply(x, v[j], out=out[:, j])
+            x = out.reshape(-1)
+        else:
+            x = np.multiply.outer(x, v).reshape(-1)
+    return x
+
+
 def _slab_walk(c: np.ndarray, vectors=()):
     """Walk `c` in row-major slabs of about `_SLAB` entries.
 
-    The tensor is cut along the joint index of its leading k parties, k
-    the fewest (at most r - 1) that leave at most `_SLAB` trailing
-    entries; a slab is a run of consecutive leading indices, at least
-    one.  Yields (offset, block, outer): `block` is the slab, shaped
-    (rows,) + c.shape[k:], `offset` is the flat index of its first
-    entry, and `outer` is the same slab of
-    reduce(np.multiply.outer, vectors), or None without vectors.  The
-    slab's outer product starts from the leading parties' product and
-    multiplies in the trailing vectors in the order of the full reduce,
-    so every entry is bit-identical to it.
+    The tensor is cut along the joint index of its leading k parties; a
+    slab is a run of consecutive leading indices, at least one.  k is
+    the fewest parties (at most r - 1, so 1 for a matrix) that leave at
+    most `_SLAB` trailing entries.  Then more parties join the lead
+    while more than `_SLAB` // 64 trailing entries are left and at least
+    64 would stay, so a slab becomes a run of 64 or more leading indices
+    and the widening never takes the lead past a 64th of the tensor.
+    Yields (offset, block, outer): `block` is the slab, shaped (rows,) +
+    c.shape[k:], `offset` is the flat index of its first entry, and
+    `outer` is the same slab of reduce(np.multiply.outer, vectors), or
+    None without vectors.
+
+    The lead product, of the first k vectors, is formed once.  Each
+    slab's outer product starts from the slab's run of it and multiplies
+    in the trailing vectors one by one (`_outer_rows`), so every entry is
+    the chain of products of the full reduce, ((v_1 v_2) v_3) ... v_r,
+    with the same operands in the same order, and bit-identical to it.
+    A wide lead leaves each slab a few long multiplications: a 2**22
+    qubit slab starts from 64 lead values and multiplies in 8 qubits,
+    where it would otherwise start from one value and multiply in 14.
     """
+    widths = [math.prod(c.shape[k:]) for k in range(c.ndim)]
     k = 1
-    while k < c.ndim - 1 and math.prod(c.shape[k:]) > _SLAB:
+    while k < c.ndim - 1 and widths[k] > _SLAB // 64 and (widths[k] > _SLAB or widths[k + 1] >= 64):
         k += 1
     tail = c.shape[k:]
-    width = math.prod(tail)
     blocks = c.reshape((-1,) + tail)
-    step = max(1, _SLAB // width)
-    lead = reduce(np.multiply.outer, vectors[:k]).reshape(-1) if vectors else None
+    step = max(1, _SLAB // widths[k])
+    lead = _outer_rows(vectors[0], vectors[1:k]) if vectors else None
     for i in range(0, blocks.shape[0], step):
-        outer = None if lead is None else reduce(np.multiply.outer, vectors[k:], lead[i : i + step])
-        yield i * width, blocks[i : i + step], outer
+        block = blocks[i : i + step]
+        outer = None
+        if lead is not None:
+            run = lead[i : i + step]
+            outer = _outer_rows(run, vectors[k:], len(run) == len(lead)).reshape(block.shape)
+        yield i * widths[k], block, outer
 
 
 def _abs_range(c: np.ndarray) -> tuple:

@@ -30,18 +30,20 @@ convert each piece's numbers in one call, and `dumps` formats `_BLOCK`
 numbers per call.  The conversion temporaries are bounded by the piece
 or block, except that a sparse load keeps a duplicate mask of one byte
 per entry, a text without line feeds (bare "\\r" line ends included) is
-one piece, and `dumps` holds its text twice, as blocks and joined.  A
-piece with any malformed record or number is checked again line by line
-from the first body line, so the error reported is always the first
-malformed record of the file, with its line number, whatever the block
-size.  `repr` (about 1 us a value) and `float` (about 0.3 us) are the
-floor of the per-value cost.
+one piece, and `dumps` returning a string holds its text twice, as
+blocks and joined.  `save_state` and `dumps` into a stream write each
+block as it is formatted.  A piece with any malformed record or number
+is checked again line by line from the first body line, so the error
+reported is always the first malformed record of the file, with its
+line number, whatever the block size.  `repr` (about 1 us a value) and
+`float` (about 0.3 us) are the floor of the per-value cost.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
+from typing import Optional
 
 import numpy as np
 
@@ -271,11 +273,23 @@ def load_state(path, format: str = "dense") -> CoeffTensor:
         return loads(fh.read(), format)
 
 
-def dumps(t: CoeffTensor, format: str = "dense") -> str:
+def dumps(t: CoeffTensor, format: str = "dense", file=None) -> Optional[str]:
+    """The text of `t` in `format`.  With `file`, a text stream, the text
+    goes to it a block at a time as it is formatted and None is
+    returned, so the whole text is never held at once."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}, expected one of {FORMATS}")
+    blocks = _dump_blocks(t, format)
+    if file is None:
+        return "".join(blocks)
+    file.writelines(blocks)
+    return None
+
+
+def _dump_blocks(t: CoeffTensor, format: str):
+    """The text of `dumps`, in pieces of about `_BLOCK` numbers."""
     entries = np.ascontiguousarray(t.array).reshape(-1)
-    parts = ["dims: " + " ".join(str(d) for d in t.dims) + "\n"]
+    yield "dims: " + " ".join(str(d) for d in t.dims) + "\n"
     if format == "dense":
         last_axis = t.dims[-1]
         floats = entries.view(np.float64).reshape(-1, 2 * last_axis)
@@ -283,7 +297,7 @@ def dumps(t: CoeffTensor, format: str = "dense") -> str:
         step = max(1, _BLOCK // (2 * last_axis))
         for start in range(0, len(floats), step):
             block = floats[start : start + step]
-            parts.append((row * len(block)).format(*block.ravel().tolist()))
+            yield (row * len(block)).format(*block.ravel().tolist())
     else:
         r = t.party_count
         record = " ".join(["{}"] * r) + "   {!r} {!r}\n"
@@ -296,10 +310,9 @@ def dumps(t: CoeffTensor, format: str = "dense") -> str:
                 fields = np.empty((flat.size, r + 2), dtype=object)
                 fields[:, :r] = np.column_stack(np.unravel_index(flat, t.dims))
                 fields[:, r:] = entries[flat].view(np.float64).reshape(-1, 2)
-                parts.append((record * flat.size).format(*fields.ravel().tolist()))
-    return "".join(parts)
+                yield (record * flat.size).format(*fields.ravel().tolist())
 
 
 def save_state(t: CoeffTensor, path, format: str = "dense"):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(t, format))
+        dumps(t, format, fh)

@@ -35,7 +35,14 @@ from .bipartite import (
     sign_flip_recover,
     sum_test,
 )
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _outer_residual
+from .core import (
+    CoeffTensor,
+    DEFAULT_TOLERANCES,
+    Tolerances,
+    _ldexp,
+    _norm_and_exponent,
+    _outer_residual,
+)
 # The slab size, read here by the residual's tests.
 from .core import _SLAB  # noqa: F401
 from .multipartite import multiparty_sum_test
@@ -100,16 +107,33 @@ class AnalysisReport:
 
 def normalize_factors(factors: LocalFactors) -> NormalizedFactors:
     """Rescale each factor to unit norm with a real-positive leading
-    coordinate; the removed scalars are aggregated into one constant."""
+    coordinate; the removed scalars are aggregated into one constant.
+
+    A vector whose sum of squares would overflow or underflow is first
+    divided by 2**e, e the binary exponent of its largest modulus
+    (`core._norm_and_exponent`), and the powers of two go into the
+    constant last.  Scaling by a power of two is exact and commutes with
+    every rounding here, so a factor scaled by 2**k gives the same units,
+    bit for bit, and a constant scaled by exactly 2**k.
+    """
     units = []
     scale = complex(1.0)
-    for v in factors.vectors:
-        nrm = float(np.linalg.norm(v))
-        u = v / nrm
+    exponent = 0
+    with np.errstate(over="ignore", under="ignore"):
+        norms = [_norm_and_exponent(v) for v in factors.vectors]
+    for v, (nrm, e) in zip(factors.vectors, norms):
+        u = (v if e == 0 else _ldexp(v, -e)) / nrm
         lead = int(np.argmax(np.abs(u) > 1e-12))
         phase = u[lead] / abs(u[lead])
         units.append(u / phase)
         scale *= nrm * phase
+        exponent += e
+    if exponent:
+        # still a numpy scalar, as the product is: numpy computes a Python
+        # complex times a large temporary in place, as temporary * scale,
+        # which rounds differently from scale * temporary where the CPU
+        # fuses multiply-adds
+        scale = _ldexp(np.asarray(scale), exponent)[()]
     return NormalizedFactors(tuple(units), scale)
 
 
