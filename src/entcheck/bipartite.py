@@ -24,14 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    CoeffTensor,
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    _abs_range,
-    _all_party_sums,
-    _slab_walk,
-)
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _slab_walk
 
 
 class Outcome(enum.Enum):
@@ -216,9 +209,8 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """
     _require_bipartite(t)
     c = t.array
-    cmax, cmin, _ = _abs_range(c)
-    total = c.sum()
-    rows, cols = _all_party_sums(c)
+    cmax, cmin, _ = t._range
+    total, (rows, cols) = t._sums
     scale = cmax * cmax
 
     if abs(total) <= tol.eps_mag * cmax:
@@ -259,8 +251,7 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
                 found[tier] = _witness(c, offset, mask, resid)
     if found:
         return Verdict(Outcome.ENTANGLED, SUM, witness=found[min(found)])
-    # the same values extract_local_factors computes, bit for bit
-    return Verdict(Outcome.FACTORIZED, SUM, factors=LocalFactors((rows / total, cols)))
+    return Verdict(Outcome.FACTORIZED, SUM, factors=extract_local_factors(t))
 
 
 def vanishing_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -270,7 +261,7 @@ def vanishing_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     largest coefficient magnitude.
     """
     _require_bipartite(t)
-    if abs(t.array.sum()) > tol.eps_mag * t.max_abs:
+    if abs(t._sums[0]) > tol.eps_mag * t.max_abs:
         raise PreconditionError("vanishing_sum_test requires a vanishing total sum")
     return sum_test(t, tol)
 
@@ -282,11 +273,10 @@ def extract_local_factors(t: CoeffTensor) -> LocalFactors:
     nonzero total sum.
     """
     _require_bipartite(t)
-    c = t.array
-    total = c.sum()
+    total, (rows, cols) = t._sums
     if total == 0:
         raise PreconditionError("cannot extract local factors with zero total sum")
-    return LocalFactors((c.sum(axis=1) / total, c.sum(axis=0)))
+    return LocalFactors((rows / total, cols))
 
 
 def equivalence_scalar(
@@ -338,8 +328,7 @@ def sign_flip_recover(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> V
     _require_bipartite(t)
     c = t.array
     cmax = t.max_abs
-    total = c.sum()
-    sums = _all_party_sums(c)
+    total, sums = t._sums
     for axis in (0, 1):
         label = "row" if axis == 0 else "column"
         own = sums[axis]

@@ -3,7 +3,11 @@
 Everything downstream (the factorization criteria, the rank oracle, the
 CLI pipeline) works on a dense complex coefficient array with one axis
 per subsystem.  All values are immutable after construction and every
-operation here is a pure function.
+operation here is a pure function.  So the facts about a tensor that
+every stage reads, its total and per-party sums and its largest |c| with
+the first index that reaches it (the rank oracle's pivot), are computed
+once per tensor, on first use, and kept on it (`CoeffTensor._sums`,
+`CoeffTensor._range`); nothing can make them stale.
 
 Full-size passes go through one slab walk, `_slab_walk`: the tensor in
 row-major slabs of about `_SLAB` = 2**14 entries, each with the matching
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,9 +87,10 @@ class CoeffTensor:
 
     The zero tensor does not describe a state and is rejected, and so is
     any NaN or infinite entry.
-    """
 
-    __slots__ = ("_array",)
+    The array is read-only, so the facts every criterion reads are
+    computed once, on first use, and kept: `_range` and `_sums`.
+    """
 
     def __init__(self, entries, dims=None):
         array = np.array(entries, dtype=complex)
@@ -121,7 +127,21 @@ class CoeffTensor:
 
     @property
     def max_abs(self) -> float:
-        return _abs_range(self._array)[0]
+        return self._range[0]
+
+    @cached_property
+    def _range(self) -> tuple:
+        """(max |c|, min |c|, flat index of the first max): `_abs_range`."""
+        return _abs_range(self._array)
+
+    @cached_property
+    def _sums(self) -> tuple:
+        """(total sum, every party's partial-sum vector in party order),
+        the vectors read-only: `array.sum()` and `_all_party_sums`."""
+        partials = tuple(_all_party_sums(self._array))
+        for v in partials:
+            v.setflags(write=False)
+        return self._array.sum(), partials
 
     @property
     def norm(self) -> float:
@@ -282,7 +302,7 @@ def _outer_residual(c: np.ndarray, vectors, scale=None) -> tuple:
 
 def total_sum(t: CoeffTensor) -> complex:
     """Sum of every coefficient."""
-    return complex(t.array.sum())
+    return complex(t._sums[0])
 
 
 def partial_sum(t: CoeffTensor, party: int, index: int) -> complex:

@@ -13,6 +13,8 @@ first violating slab, so a random tensor is decided from its first
 
 from __future__ import annotations
 
+import numpy as np
+
 from .bipartite import (
     MULTI_SUM,
     LocalFactors,
@@ -20,7 +22,7 @@ from .bipartite import (
     Verdict,
     _first_sum_violation,
 )
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _all_party_sums
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances
 
 
 def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -29,12 +31,13 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
     Inconclusive when the total sum vanishes (relative to the largest
     coefficient); otherwise every multi-index either certifies
     entanglement with a concrete witness or, collectively, yields the
-    factor vectors.
+    factor vectors.  Inconclusive too when S^(r-1) under- or overflows
+    so that the factors are not finite.
     """
     c = t.array
     r = t.party_count
     cmax = t.max_abs
-    total = c.sum()
+    total, partials = t._sums
     if abs(total) <= tol.eps_mag * cmax:
         return Verdict(
             Outcome.INCONCLUSIVE,
@@ -43,13 +46,20 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
         )
 
     power = total ** (r - 1)
-    partials = _all_party_sums(c)
     scale = cmax * abs(total) ** (r - 1)
     witness = _first_sum_violation(c, partials, power, scale, tol)
     if witness is not None:
         return Verdict(Outcome.ENTANGLED, MULTI_SUM, witness=witness)
 
-    vectors = [partials[0] / power] + partials[1:]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vectors = (partials[0] / power, *partials[1:])
+    if not all(np.isfinite(v).all() for v in vectors):
+        return Verdict(
+            Outcome.INCONCLUSIVE,
+            MULTI_SUM,
+            reason=f"total sum ** {r - 1} is out of range ({complex(power)}); "
+            "escalate to the rank oracle",
+        )
     return Verdict(Outcome.FACTORIZED, MULTI_SUM, factors=LocalFactors(vectors))
 
 

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _slab_walk
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _ldexp, _slab_walk
 
 # Rounding allowance of `_rank_one_screen`, per party, in units of |c[p]|.
 # With u = eps/2: a complex quotient is off by at most about 6u (Smith's
@@ -65,6 +65,13 @@ _SCREEN_ROUNDING = 32 * float(np.finfo(float).eps)
 # subnormal results (2**-1075) is no longer small against u * |c[p]|,
 # and `unfolding_ranks` decides.
 _SCREEN_FLOOR = 4 * float(np.finfo(float).tiny)
+
+# Smallest |c[p]| the fibres are divided by as they are.  numpy's complex
+# division (Smith's formula) multiplies by the reciprocal of the divisor,
+# which overflows for a subnormal one; below this floor the fibre and
+# c[p] are first scaled up by the power of two that brings |c[p]| into
+# [0.5, 1), which is exact, and every fibre entry is at most |c[p]|.
+_PIVOT_FLOOR = 2.0**-960
 
 
 def unfold(t: CoeffTensor, party: int) -> np.ndarray:
@@ -131,26 +138,25 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
     unfolding k the residual c - (c[p_1..:..p_r] / c[p]) (x) c[.., p_k, ..]
     is formed only on the two off-pivot slabs i_k < p_k and i_k > p_k
     (the pivot row is left out, never computed), slab by slab in one
-    reused flat buffer whose magnitudes go into the buffer that held |c|;
-    the pivot column is zeroed in each slab.  For two parties the second
-    unfolding is the transpose of the first and reuses its test.
+    reused flat buffer whose magnitudes go into a second one of the same
+    length; the pivot column is zeroed in each slab.  For two parties the
+    second unfolding is the transpose of the first and reuses its test.
     """
     c = t.array
     r = t.party_count
-    magnitude = np.abs(c)
-    p = np.unravel_index(int(magnitude.argmax()), c.shape)
+    largest, _, top = t._range
+    p = np.unravel_index(top, c.shape)
     pivot = c[p]
-    largest = magnitude[p]
     axes = range(1 if r == 2 else r)
     residual = np.empty(
         max(max(p[k], c.shape[k] - 1 - p[k]) * (c.size // c.shape[k]) for k in axes),
         dtype=c.dtype,
     )
-    magnitude = magnitude.reshape(-1)
+    magnitude = np.empty(residual.size)
     seconds = []
     for axis in axes:
         fiber_at = p[:axis] + (slice(None),) + p[axis + 1 :]
-        scaled_fiber = c[fiber_at] / pivot
+        scaled_fiber = _over_pivot(c[fiber_at], pivot)
         row = np.expand_dims(c[(slice(None),) * axis + (p[axis],)], axis)
         shape = [1] * r
         second = 0.0
@@ -180,6 +186,15 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
     return RankDecision(tuple(ranks), float(max(seconds) / largest))
 
 
+def _over_pivot(fibre: np.ndarray, pivot) -> np.ndarray:
+    """fibre / pivot, both scaled up exactly first when |pivot| is below
+    `_PIVOT_FLOOR`."""
+    if abs(pivot) >= _PIVOT_FLOOR:
+        return fibre / pivot
+    e = -math.frexp(abs(pivot))[1]
+    return _ldexp(fibre, e) / _ldexp(np.asarray(pivot), e)
+
+
 def _pivot_factors(c: np.ndarray) -> tuple:
     """(p, vectors): the pivot p, the first entry of largest |c| in
     row-major order, and the fibres of every party through it, each but
@@ -193,7 +208,7 @@ def _pivot_factors(c: np.ndarray) -> tuple:
     """
     p = np.unravel_index(_abs_range(c)[2], c.shape)
     fibres = [c[p[:k] + (slice(None),) + p[k + 1 :]] for k in range(c.ndim)]
-    return p, [fibres[0]] + [f / c[p] for f in fibres[1:]]
+    return p, [fibres[0]] + [_over_pivot(f, c[p]) for f in fibres[1:]]
 
 
 def _rank_one_screen(c: np.ndarray, p: tuple, vectors, tol: Tolerances) -> Optional[RankDecision]:

@@ -40,7 +40,7 @@ from .bipartite import (
     _witness,
 )
 from .core import TWO_PI, CoeffTensor, DEFAULT_TOLERANCES, Tolerances
-from .core import _abs_range, _outer_residual, _slab_walk
+from .core import _outer_residual, _slab_walk
 
 # Rounding slack of the phase identity.  Its terms are sums of arguments
 # in [0, 2*pi), each within a relative error of its own size (Higham,
@@ -82,11 +82,12 @@ class PhaseSolution:
     mags_b: tuple
 
 
-def _support(c: np.ndarray, tol: Tolerances):
+def _support(t: CoeffTensor, tol: Tolerances):
     """(|c|, zero cutoff, live-row mask, live-column mask, (row, column) of
-    the first largest entry).  A live line has an entry above the cutoff;
-    the largest entry is always live."""
-    cmax, _, top = _abs_range(c)
+    the first largest entry) for the matrix c of `t`.  A live line has an
+    entry above the cutoff; the largest entry is always live."""
+    c = t.array
+    cmax, _, top = t._range
     mags = np.abs(c)
     cutoff = tol.eps_rank * cmax
     live_rows = mags.max(axis=1) > cutoff
@@ -134,7 +135,7 @@ def phase_constant(
     """
     _require_bipartite(t)
     c = t.array
-    mags, cutoff, live_rows, live_cols, (ti, tj) = _support(c, tol)
+    mags, cutoff, live_rows, live_cols, (ti, tj) = _support(t, tol)
     i, j = (ti, tj) if ref is None else ref
     if not (0 <= i < c.shape[0] and 0 <= j < c.shape[1] and mags[i, j] > cutoff):
         raise ValueError(f"reference entry {ref} is zero or outside the nonzero support")
@@ -174,7 +175,7 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     _require_bipartite(t)
     c = t.array
     n = c.shape[1]
-    mags, cutoff, live_rows, live_cols, (ri, rj) = _support(c, tol)
+    mags, cutoff, live_rows, live_cols, (ri, rj) = _support(t, tol)
     cmax = mags[ri, rj]
 
     # Step 1: magnitude condition.
@@ -237,7 +238,7 @@ def solve_phases(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Option
     mags_b = np.abs(b)
     alpha = tuple(float(np.mod(np.angle(x), TWO_PI)) if abs(x) > 0 else 0.0 for x in a)
     beta = tuple(float(np.mod(np.angle(x), TWO_PI)) if abs(x) > 0 else 0.0 for x in b)
-    _, _, live_rows, live_cols, _ = _support(t.array, tol)
+    _, _, live_rows, live_cols, _ = _support(t, tol)
     return PhaseSolution(
         d=int(max(live_rows.sum(), live_cols.sum())),
         c=phase_constant(t, tol),
