@@ -13,6 +13,16 @@ about 2**14 entries forms its own products, residuals, bounds and mask,
 and the walk stops at the first slab that decides, so no temporary is
 the size of the matrix.  The sign-flip screen's per-line maxima are
 formed on the same walk.
+
+On a zero-total matrix the full passes run only when the O(m + n) row,
+column and total sums cannot settle their question: the vanishing-total
+branch is degenerate outright when max|rowsum| * max|colsum| bounds
+every sum product below the cut, and the sign-flip screen skips its
+per-line maxima when the flipped totals already pick the first line or
+a bound from the sums rules the product term out.  A slab of the sum
+criterion whose residuals all sit below eps_mag times the floor skips
+its per-entry bounds.  Each screen only skips work: verdicts, witnesses
+and factors are those of the full passes, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _slab_walk
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _over_pivot, _slab_walk
 
 
 class Outcome(enum.Enum):
@@ -140,21 +150,34 @@ def _sum_slabs(c, partials, power, floor, tol):
     The bound is formed in two steps.  The first is eps_mag * max(floor,
     |lhs|), without |rhs|; only a slab where some entry fails it pays
     for |rhs|, widening the bound in place to the full one and forming
-    the mask again.  A product passes every slab at the first step.  The
-    mask is the one-step mask, bit for bit: rounding is monotone, so
+    the mask again.  A product passes every slab at the first step, if
+    not before it (below).  The mask is the one-step mask, bit for bit:
+    rounding is monotone, so
     fl(eps * max(a, b)) = max(fl(eps * a), fl(eps * b)) and the widened
     bound is the one-step bound, while the first bound is no larger, so
     an entry that passes it passes the one-step bound too.  The only
     value the first step cannot see is a NaN |rhs|, which makes the
     one-step bound NaN; but a NaN rhs makes the residual NaN as well,
     and a NaN residual fails every bound.
+
+    Before either step, a slab whose residuals are all at most
+    fl(eps_mag * floor) skips both: by the same monotone rounding every
+    entry's bound is at least that value, so the mask is all False.  A
+    NaN residual fails that comparison too and takes the two steps.  The
+    residuals are formed first, so a slab that takes the steps forms
+    lhs a second time for its |lhs|.
     """
     eps = tol.eps_mag
+    least = eps * floor
     for offset, block, rhs in _slab_walk(c, partials):
         lhs = block * power
-        bound = np.abs(lhs)
         lhs -= rhs
         resid = np.abs(lhs)
+        if resid.max() <= least:
+            yield offset, block, rhs, resid, np.zeros(resid.shape, dtype=bool)
+            continue
+        # |lhs| from lhs formed again, the same bits, in the spent buffer
+        bound = np.abs(np.multiply(block, power, out=lhs))
         np.maximum(bound, floor, out=bound)
         bound *= eps
         viol = ~(resid <= bound)
@@ -188,6 +211,16 @@ _SCREEN_SLACK = 1.0 + 2.0**-46
 _TINY = float(np.finfo(float).tiny)
 
 
+def _all_within(top, threshold) -> bool:
+    """Whether computed values that `top` bounds from above, within a
+    few units of roundoff, are certainly all at most `threshold`.  The
+    upper-bound twin of the tier screen: `top` is raised to the normal
+    floor, where the absolute rounding of subnormal results is at most
+    2**-52 of it, and by `_SCREEN_SLACK`.  A NaN `top` certifies
+    nothing."""
+    return max(top, _TINY) * _SCREEN_SLACK <= threshold
+
+
 def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     """Decide factorization of a matrix from its coefficient sums.
 
@@ -195,7 +228,9 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     product iff c_ij * total == rowsum_i * colsum_j everywhere, and the
     factors fall out of the sums.  With a vanishing total sum a nonzero
     rowsum * colsum product certifies entanglement; otherwise the matrix
-    is degenerate and the verdict is inconclusive.
+    is degenerate and the verdict is inconclusive.  When max|rowsum| *
+    max|colsum| already bounds every product below the cut, that is
+    settled from the sums in O(m + n), without walking the products.
 
     Violations where one side vanishes identically are exact
     contradictions immune to the tolerance choice, so the witness is, in
@@ -215,16 +250,20 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
 
     if abs(total) <= tol.eps_mag * cmax:
         bound = tol.eps_mag * scale
-        for offset, _, prods in _slab_walk(c, (rows, cols)):
-            mags = np.abs(prods)
-            viol = mags > bound
-            if viol.any():
-                return Verdict(
-                    Outcome.ENTANGLED,
-                    SUM_PRODUCT,
-                    witness=_witness(c, offset, viol, mags),
-                    reason="total sum vanishes but a row-sum * column-sum product does not",
-                )
+        # every computed |rowsum_i * colsum_j| is at most max|rowsum| *
+        # max|colsum| within the rounding the tier screen allows for, so
+        # the products are walked only when that bound may exceed `bound`
+        if not _all_within(float(np.abs(rows).max()) * float(np.abs(cols).max()), bound):
+            for offset, _, prods in _slab_walk(c, (rows, cols)):
+                mags = np.abs(prods)
+                viol = mags > bound
+                if viol.any():
+                    return Verdict(
+                        Outcome.ENTANGLED,
+                        SUM_PRODUCT,
+                        witness=_witness(c, offset, viol, mags),
+                        reason="total sum vanishes but a row-sum * column-sum product does not",
+                    )
         return Verdict(
             Outcome.INCONCLUSIVE,
             DEGENERATE,
@@ -270,13 +309,16 @@ def extract_local_factors(t: CoeffTensor) -> LocalFactors:
     """Factor vectors (a, b) with a_i = rowsum_i / total, b_j = colsum_j.
 
     Only valid once the sum criterion has been verified; requires a
-    nonzero total sum.
+    nonzero total sum.  A total below 2**-960 (a matrix near 1e-310) is
+    scaled up with the row sums by an exact power of two before the
+    division (`core._over_pivot`), so the factors stay finite; larger
+    totals divide as they are.
     """
     _require_bipartite(t)
     total, (rows, cols) = t._sums
     if total == 0:
         raise PreconditionError("cannot extract local factors with zero total sum")
-    return LocalFactors((rows / total, cols))
+    return LocalFactors((_over_pivot(rows, total), cols))
 
 
 def equivalence_scalar(
@@ -321,27 +363,39 @@ def sign_flip_recover(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> V
     into colsum_b - 2 * c_ib (a column is the transpose); the largest
     sum-product magnitude is the product of the largest sum magnitudes.
     So the first row, then column, whose negation the sum test decides is
-    found from the original sums in O(mn), and the sum test runs once on
-    it, with factors mapped back through the flip.  No such flip ->
-    inconclusive, and the caller falls through to the magnitude/phase test.
+    found from the original sums, and the sum test runs once on it, with
+    factors mapped back through the flip.  No such flip -> inconclusive,
+    and the caller falls through to the magnitude/phase test.
+
+    Per axis the total term is O(m + n).  The product term needs the
+    per-line maxima of `_flipped_sum_max`, a pass over the matrix, and
+    that pass runs only when it can move the choice: when the total term
+    does not already settle the first line, and no O(m + n) bound rules
+    the product term out on every line.  Every flipped column sum is at
+    most max|colsum| + 2 max|c| in modulus, so no line passes when
+    max|rowsum| * (max|colsum| + 2 max|c|) is certainly at most the cut
+    (`_all_within`).  A product with a zero-sum row factor settles on row
+    0 by its total; one with two zero-sum factors has near-zero sums on
+    both axes, and neither pass runs.
     """
     _require_bipartite(t)
     c = t.array
     cmax = t.max_abs
     total, sums = t._sums
+    cut = tol.eps_mag * cmax * cmax
     for axis in (0, 1):
         label = "row" if axis == 0 else "column"
-        own = sums[axis]
-        conclusive = (np.abs(total - 2 * own) > tol.eps_mag * cmax) | (
-            np.abs(own).max() * _flipped_sum_max(c, sums, axis) > tol.eps_mag * cmax * cmax
-        )
+        own, other = sums[axis], sums[1 - axis]
+        conclusive = np.abs(total - 2 * own) > tol.eps_mag * cmax
+        top = np.abs(own).max()
+        if not conclusive[0] and not _all_within(
+            float(top) * (float(np.abs(other).max()) + 2 * cmax), cut
+        ):
+            conclusive |= top * _flipped_sum_max(c, sums, axis) > cut
         if not conclusive.any():
             continue
         idx = int(conclusive.argmax())
-        flipped = c.copy()
-        lines = flipped if axis == 0 else flipped.T
-        lines[idx] = -lines[idx]
-        verdict = sum_test(CoeffTensor._adopt(flipped), tol)
+        verdict = sum_test(t._line_negated(axis, idx), tol)
         reason = f"{label} {idx} negated"
         if verdict.is_factorized:
             vecs = [v.copy() for v in verdict.factors.vectors]

@@ -34,6 +34,17 @@ def _default_tol_mag():
         raise ValueError(f"ENTCHECK_TOL_MAG is not a number: {value!r}") from None
 
 
+def _seed(text):
+    """A --seed value: numpy's seeding takes non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="entcheck",
@@ -66,7 +77,7 @@ def build_parser():
     kind.add_argument("--product", action="store_true", help="product state")
     kind.add_argument("--random", action="store_true", help="i.i.d. random state")
     gen.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 2,2,2")
-    gen.add_argument("--seed", type=int, default=0, metavar="N")
+    gen.add_argument("--seed", type=_seed, default=0, metavar="N")
     gen.add_argument(
         "--zero-avoidance",
         action="store_true",

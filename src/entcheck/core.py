@@ -7,7 +7,9 @@ operation here is a pure function.  So the facts about a tensor that
 every stage reads, its total and per-party sums and its largest |c| with
 the first index that reaches it (the rank oracle's pivot), are computed
 once per tensor, on first use, and kept on it (`CoeffTensor._sums`,
-`CoeffTensor._range`); nothing can make them stale.
+`CoeffTensor._range`); nothing can make them stale.  A copy with one
+line negated (`CoeffTensor._line_negated`, the sign-flip stage's) takes
+its parent's `_range`, which negation keeps.
 
 Full-size passes go through one slab walk, `_slab_walk`: the tensor in
 row-major slabs of about `_SLAB` = 2**14 entries, each with the matching
@@ -109,6 +111,23 @@ class CoeffTensor:
         t._array = _checked(array)
         return t
 
+    def _line_negated(self, axis: int, index: int) -> "CoeffTensor":
+        """This matrix with row (axis 0) or column (axis 1) `index`
+        negated.  Negation keeps every |c|, so the copy takes this
+        tensor's `_range` (the first largest |c| stays where it was), and
+        it cannot make an entry NaN or infinite or the matrix zero, so the
+        checks are not run again.  Its sums are its own reductions, not
+        derived from this tensor's: numpy's axis-0 sum adds row after
+        row, so `colsum - 2 * c[index]` would round differently."""
+        flipped = self._array.copy()
+        lines = flipped if axis == 0 else flipped.T
+        lines[index] = -lines[index]
+        flipped.setflags(write=False)
+        t = CoeffTensor.__new__(CoeffTensor)
+        t._array = flipped
+        t.__dict__["_range"] = self._range
+        return t
+
     @property
     def array(self) -> np.ndarray:
         return self._array
@@ -178,6 +197,25 @@ def _ldexp(a: np.ndarray, n: int) -> np.ndarray:
     np.ldexp(a.real, n, out=out.real)
     np.ldexp(a.imag, n, out=out.imag)
     return out
+
+
+# Smallest |divisor| that `_over_pivot` divides by as it is.  numpy's
+# complex division (Smith's formula) multiplies by the reciprocal of the
+# divisor, which overflows for a subnormal one; below this floor the
+# dividend and the divisor are first scaled up by the power of two that
+# brings |divisor| into [0.5, 1), which is exact.
+_PIVOT_FLOOR = 2.0**-960
+
+
+def _over_pivot(x: np.ndarray, pivot) -> np.ndarray:
+    """x / pivot, both scaled up exactly first when |pivot| is below
+    `_PIVOT_FLOOR`; the plain quotient, bit for bit, above it.  Used for
+    the oracle's fibres over c[p] and the sum test's row sums over the
+    total."""
+    if abs(pivot) >= _PIVOT_FLOOR:
+        return x / pivot
+    e = -math.frexp(abs(pivot))[1]
+    return _ldexp(x, e) / _ldexp(np.asarray(pivot), e)
 
 
 def _norm_and_exponent(a: np.ndarray) -> tuple:

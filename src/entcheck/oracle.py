@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _ldexp, _slab_walk
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _over_pivot, _slab_walk
 
 # Rounding allowance of `_rank_one_screen`, per party, in units of |c[p]|.
 # With u = eps/2: a complex quotient is off by at most about 6u (Smith's
@@ -65,13 +65,6 @@ _SCREEN_ROUNDING = 32 * float(np.finfo(float).eps)
 # subnormal results (2**-1075) is no longer small against u * |c[p]|,
 # and `unfolding_ranks` decides.
 _SCREEN_FLOOR = 4 * float(np.finfo(float).tiny)
-
-# Smallest |c[p]| the fibres are divided by as they are.  numpy's complex
-# division (Smith's formula) multiplies by the reciprocal of the divisor,
-# which overflows for a subnormal one; below this floor the fibre and
-# c[p] are first scaled up by the power of two that brings |c[p]| into
-# [0.5, 1), which is exact, and every fibre entry is at most |c[p]|.
-_PIVOT_FLOOR = 2.0**-960
 
 
 def unfold(t: CoeffTensor, party: int) -> np.ndarray:
@@ -184,15 +177,6 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
         else:
             ranks.append(">=2")
     return RankDecision(tuple(ranks), float(max(seconds) / largest))
-
-
-def _over_pivot(fibre: np.ndarray, pivot) -> np.ndarray:
-    """fibre / pivot, both scaled up exactly first when |pivot| is below
-    `_PIVOT_FLOOR`."""
-    if abs(pivot) >= _PIVOT_FLOOR:
-        return fibre / pivot
-    e = -math.frexp(abs(pivot))[1]
-    return _ldexp(fibre, e) / _ldexp(np.asarray(pivot), e)
 
 
 def _pivot_factors(c: np.ndarray) -> tuple:

@@ -18,7 +18,9 @@ reference column).  The copies enter the column (row) sums as one
 multiple of the reference line, and their identities repeat the
 reference line's, which comes first in row-major order, so the square
 grid is never formed.  The identity is checked one slab at a time and
-the check stops at the first violating slab.
+the check stops at the first violating slab.  Every entry's tolerance
+is at least eps_ang, so the per-entry tolerances are formed only on a
+slab where some distance exceeds eps_ang.
 """
 
 from __future__ import annotations
@@ -205,13 +207,17 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
         x = sums - d * block - const
         # circular distance of x from 0; np.mod is 10x slower than rint
         dist = np.abs(x - TWO_PI * np.rint(x / TWO_PI))
-        # angle noise blows up as 1/|entry|; relax near the zero cutoff
-        bound = np.where(mags[rows] <= 10.0 * cutoff, 10.0 * tol.eps_ang, tol.eps_ang)
-        bound += _PHASE_ROUNDING * (sums + d * block + ref_size)
-        bad = (mags[rows] > cutoff) & (dist > bound)
-        if bad.any():
-            return _entangled(_witness(c, offset, bad, dist), "phase condition violated")
-        del sums, x, dist, bound, bad  # before the next slab's are made
+        # every entry's bound is at least eps_ang, so a slab with no
+        # larger distance has no bad entry
+        if dist.max() > tol.eps_ang:
+            # angle noise blows up as 1/|entry|; relax near the zero cutoff
+            bound = np.where(mags[rows] <= 10.0 * cutoff, 10.0 * tol.eps_ang, tol.eps_ang)
+            bound += _PHASE_ROUNDING * (sums + d * block + ref_size)
+            bad = (mags[rows] > cutoff) & (dist > bound)
+            if bad.any():
+                return _entangled(_witness(c, offset, bad, dist), "phase condition violated")
+            del bound, bad
+        del sums, x, dist  # before the next slab's are made
     del args, mags  # nor does the reconstruction need these
 
     # Reconstruct factors: magnitudes from the sums, phases anchored at

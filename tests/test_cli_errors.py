@@ -49,3 +49,15 @@ def test_keyboard_interrupt_is_not_swallowed(monkeypatch, product_file):
     monkeypatch.setattr(cli, "analyze", _raise(KeyboardInterrupt()))
     with pytest.raises(KeyboardInterrupt):
         main(["analyze", "--input", product_file])
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7", "x"])
+def test_gen_rejects_a_bad_seed_with_one_line(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--product", "--dims", "2,2", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"entcheck gen: error: argument --seed: must be a non-negative integer, got {seed!r}"
+    )
