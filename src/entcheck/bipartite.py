@@ -147,25 +147,12 @@ def _sum_slabs(c, partials, power, floor, tol):
     is bit-identical to a whole-array evaluation.  A NaN residual
     (inf - inf after overflow) counts as a violation.
 
-    The bound is formed in two steps.  The first is eps_mag * max(floor,
-    |lhs|), without |rhs|; only a slab where some entry fails it pays
-    for |rhs|, widening the bound in place to the full one and forming
-    the mask again.  A product passes every slab at the first step, if
-    not before it (below).  The mask is the one-step mask, bit for bit:
-    rounding is monotone, so
-    fl(eps * max(a, b)) = max(fl(eps * a), fl(eps * b)) and the widened
-    bound is the one-step bound, while the first bound is no larger, so
-    an entry that passes it passes the one-step bound too.  The only
-    value the first step cannot see is a NaN |rhs|, which makes the
-    one-step bound NaN; but a NaN rhs makes the residual NaN as well,
-    and a NaN residual fails every bound.
-
-    Before either step, a slab whose residuals are all at most
-    fl(eps_mag * floor) skips both: by the same monotone rounding every
-    entry's bound is at least that value, so the mask is all False.  A
-    NaN residual fails that comparison too and takes the two steps.  The
-    residuals are formed first, so a slab that takes the steps forms
-    lhs a second time for its |lhs|.
+    A slab whose residuals are all at most fl(eps_mag * floor) skips the
+    bound: rounding is monotone, so every entry's bound is at least that
+    value and the mask is all False.  A NaN residual fails that
+    comparison and takes the full bound.  The residuals are formed
+    first, so a slab that takes the bound forms lhs a second time for
+    its |lhs|.
     """
     eps = tol.eps_mag
     least = eps * floor
@@ -178,15 +165,10 @@ def _sum_slabs(c, partials, power, floor, tol):
             continue
         # |lhs| from lhs formed again, the same bits, in the spent buffer
         bound = np.abs(np.multiply(block, power, out=lhs))
+        np.maximum(bound, np.abs(rhs), out=bound)
         np.maximum(bound, floor, out=bound)
         bound *= eps
-        viol = ~(resid <= bound)
-        if viol.any():
-            rhs_bound = np.abs(rhs)
-            rhs_bound *= eps
-            np.maximum(bound, rhs_bound, out=bound)
-            viol = ~(resid <= bound)
-        yield offset, block, rhs, resid, viol
+        yield offset, block, rhs, resid, ~(resid <= bound)
 
 
 def _first_sum_violation(c, partials, power, floor, tol) -> Optional[Witness]:

@@ -4,7 +4,7 @@ entcheck analyze --input state.txt [--format dense|sparse] [--method ...]
 entcheck gen --product|--random --dims 2,2 [--seed N]
 
 Exit codes: 0 = factorized, 1 = entangled, 2 = error (including parse
-failures, a tolerance that is not a positive number, criterion/oracle
+failures, a tolerance that is not a finite positive number, criterion/oracle
 disagreement, a forced method that stays inconclusive, and any
 exception raised while analysing, rendering or generating).
 ENTCHECK_TOL_MAG overrides the default magnitude tolerance.

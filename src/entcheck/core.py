@@ -73,6 +73,8 @@ class Tolerances:
             value = getattr(self, name)
             if not (value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.eps_ang < math.pi):
             raise ValueError(f"eps_ang must be below pi, got {self.eps_ang!r}")
 

@@ -35,14 +35,25 @@ blocks and joined.  `save_state` and `dumps` into a stream write each
 block as it is formatted.  A piece with any malformed record or number
 is checked again line by line from the first body line, so the error
 reported is always the first malformed record of the file, with its
-line number, whatever the block size.  `repr` (about 1 us a value) and
-`float` (about 0.3 us) are the floor of the per-value cost.
+line number, whatever the block size.
+
+A sparse piece takes a byte pass when it is plain: ASCII, no "#", "\\n"
+its only line break (spaces and tabs between fields), and every record
+line r indices of ASCII digits no wider than the largest index in range
+plus two value fields, none out of range or a duplicate.  The pass
+finds the field bounds in numpy, parses the indices a digit column at a
+time and calls `float` only on the value fields.  Any other piece is
+split into tokens and converted with `int` and `float`.  `dumps` writes
+a sparse record's indices from joint label tables of runs of
+consecutive parties, each table at most about twice the square root of
+the entry count.  `repr` (about 1 us a value) and `float` (about 0.3 us)
+on the values remain the floor of the per-value cost.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, product
 from typing import Optional
 
 import numpy as np
@@ -200,16 +211,75 @@ def _loads_sparse(text):
 
 
 def _sparse_entries(text, body, dims, base):
-    """The flat entry array of a sparse body, converted a chunk at a time."""
+    """The flat entry array of a sparse body, converted a chunk at a time:
+    by the byte pass where it applies, else from the chunk's tokens."""
     entries = np.zeros(math.prod(dims), dtype=complex)
     seen = np.zeros(entries.size, dtype=bool)
+    # digits of the largest index in range
+    width = len(str(max(dims) - 1 + base))
     for chunk in _chunks(text, body[0]):
-        converted = _convert_records(_chunk_rows(chunk), dims, base, seen)
+        converted = _byte_records(chunk, dims, base, width, seen)
+        if converted is None:
+            converted = _convert_records(_chunk_rows(chunk), dims, base, seen)
         if converted is None:
             _check_records(text, body, dims, base)
         flat, values = converted
         entries[flat] = values
     return entries
+
+
+def _byte_records(chunk, dims, base, width, seen):
+    """`_convert_records` of a chunk in one numpy pass over its bytes, or
+    None if the chunk is not plain: ASCII without "#", "\\n" the only line
+    break, every record line r indices of at most `width` ASCII digits
+    plus two value fields.  Only the value fields go through `float`.
+    Per-byte temporaries are bool or uint8; integer arrays are per token."""
+    if "#" in chunk or not chunk.isascii():
+        return None
+    r = len(dims)
+    b = np.frombuffer(chunk.encode("ascii"), np.uint8)
+    ctrl = np.flatnonzero(b < 32)
+    newline = b[ctrl] == 10
+    if not (newline | (b[ctrl] == 9)).all():  # only "\n" and tabs
+        return None
+    line_ends = ctrl[newline]
+    # token bounds: where the separator mask, padded with separators, flips
+    sep = np.ones(b.size + 2, dtype=bool)
+    np.less_equal(b, 32, out=sep[1:-1])
+    bounds = np.flatnonzero(sep[1:] != sep[:-1])
+    if bounds.size % (2 * (r + 2)):
+        return None
+    bounds = bounds.reshape(-1, r + 2, 2)  # record, field, (start, end)
+    # r + 2 fields a line: each record's first and last field on one line,
+    # and the next record on a later line
+    first, last = np.searchsorted(line_ends, bounds[:, [0, -1], 0]).T
+    if (first != last).any() or (first[1:] <= last[:-1]).any():
+        return None
+    starts, ends = bounds[:, :r, 0], bounds[:, :r, 1]
+    digits = ends - starts
+    if digits.max(initial=0) > width:
+        return None
+    # decimal digits, one column at a time, the k-th from the right
+    # counting as a leading zero in an index of k digits or fewer
+    index = np.zeros(starts.shape, dtype=np.int64)
+    for k in reversed(range(width)):
+        digit = b[ends - 1 - k] - np.uint8(48)  # non-digits wrap above 9
+        digit[digits <= k] = 0
+        if (digit > 9).any():
+            return None
+        index *= 10
+        index += digit
+    # the bytes of each record's value fields and the separator after them
+    in_values = np.zeros(b.size + 2, dtype=bool)
+    in_values[bounds[:, r, 0]] = True
+    in_values[bounds[:, -1, 1] + 1] = True
+    np.logical_xor.accumulate(in_values, out=in_values)
+    tokens = b[in_values[: b.size]].tobytes().split()
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        return None
+    return _mark_records(index, values, dims, base, seen)
 
 
 def _convert_records(rows, dims, base, seen):
@@ -228,7 +298,14 @@ def _convert_records(rows, dims, base, seen):
         )
     except (ValueError, OverflowError):
         return None
-    index = index.reshape(-1, r) - base
+    return _mark_records(index, values, dims, base, seen)
+
+
+def _mark_records(index, values, dims, base, seen):
+    """Flat indices and complex values of records given as r indices each
+    and re, im pairs, marked in `seen`; None if any index is out of range
+    or a duplicate of one seen before."""
+    index = index.reshape(-1, len(dims)) - base
     if (index < 0).any() or (index >= dims).any():
         return None
     flat = np.ravel_multi_index(index.T, dims)
@@ -299,18 +376,48 @@ def _dump_blocks(t: CoeffTensor, format: str):
             block = floats[start : start + step]
             yield (row * len(block)).format(*block.ravel().tolist())
     else:
-        r = t.party_count
-        record = " ".join(["{}"] * r) + "   {!r} {!r}\n"
-        step = max(1, _BLOCK // (r + 2))
+        groups = _label_groups(t.dims)
+        g = len(groups)
+        record = " ".join(["{}"] * g) + "   {!r} {!r}\n"
+        step = max(1, _BLOCK // (g + 2))
         for start in range(0, entries.size, _SCAN):
             nonzero = np.flatnonzero(entries[start : start + _SCAN]) + start
             for i in range(0, nonzero.size, step):
                 flat = nonzero[i : i + step]
                 # the cast to object gives Python ints and floats
-                fields = np.empty((flat.size, r + 2), dtype=object)
-                fields[:, :r] = np.column_stack(np.unravel_index(flat, t.dims))
-                fields[:, r:] = entries[flat].view(np.float64).reshape(-1, 2)
+                fields = np.empty((flat.size, g + 2), dtype=object)
+                for k, (stride, size, labels) in enumerate(groups):
+                    part = flat // stride % size
+                    fields[:, k] = part if labels is None else labels[part]
+                fields[:, g:] = entries[flat].view(np.float64).reshape(-1, 2)
                 yield (record * flat.size).format(*fields.ravel().tolist())
+
+
+def _label_groups(dims):
+    """(stride, size, labels) of each run of consecutive parties whose
+    joint index is written through one label table: `labels[j]` is the
+    text of the run's indices at joint index j.  A run is as long as its
+    table stays within about twice the square root of the entry count;
+    a single party larger than that gets no table (labels None) and its
+    index is formatted as an int."""
+    cap = 2 * math.isqrt(math.prod(dims))
+    runs = []
+    for d in dims:
+        if runs and math.prod(runs[-1]) * d <= cap:
+            runs[-1].append(d)
+        else:
+            runs.append([d])
+    groups = []
+    stride = math.prod(dims)
+    for run in runs:
+        size = math.prod(run)
+        stride //= size
+        labels = None
+        if size <= cap:
+            text = [" ".join(map(str, ix)) for ix in product(*map(range, run))]
+            labels = np.array(text, dtype=object)
+        groups.append((stride, size, labels))
+    return groups
 
 
 def save_state(t: CoeffTensor, path, format: str = "dense"):
