@@ -3,17 +3,20 @@
 entcheck analyze --input state.txt [--format dense|sparse] [--method ...]
 entcheck gen --product|--random --dims 2,2 [--seed N]
 
+`--dims` takes the dimensions separated by commas or spaces, by the
+rule of a state file's `dims:` header (`io.parse_dims`).
+
 Exit codes: 0 = factorized, 1 = entangled, 2 = error (including parse
-failures, a tolerance that is not a finite positive number, criterion/oracle
-disagreement, a forced method that stays inconclusive, and any
-exception raised while analysing, rendering or generating).
+failures, bad --dims, a tolerance that is not a finite positive number
+or an eps_rank of 1 or more, criterion/oracle disagreement, a forced
+method that stays inconclusive, and any exception raised while
+analysing, rendering or generating).
 ENTCHECK_TOL_MAG overrides the default magnitude tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import traceback
@@ -76,7 +79,7 @@ def build_parser():
     kind = gen.add_mutually_exclusive_group(required=True)
     kind.add_argument("--product", action="store_true", help="product state")
     kind.add_argument("--random", action="store_true", help="i.i.d. random state")
-    gen.add_argument("--dims", required=True, help="comma-separated dimensions, e.g. 2,2,2")
+    gen.add_argument("--dims", required=True, help="comma- or space-separated dimensions, e.g. 2,2")
     gen.add_argument("--seed", type=_seed, default=0, metavar="N")
     gen.add_argument(
         "--zero-avoidance",
@@ -112,15 +115,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_gen(args) -> int:
     try:
-        dims = tuple(int(tok) for tok in args.dims.replace(" ", "").split(","))
-    except ValueError:
-        print(f"error: bad --dims {args.dims!r}", file=sys.stderr)
-        return 2
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        print(f"error: dims must be >= 2 positive integers, got {dims}", file=sys.stderr)
-        return 2
-    if math.prod(dims) > state_io.MAX_ENTRIES:
-        print(f"error: {state_io.too_many_entries(dims)}", file=sys.stderr)
+        dims = state_io.parse_dims(args.dims)
+    except ValueError as exc:
+        print(f"error: --dims: {exc}", file=sys.stderr)
         return 2
     if args.product:
         tensor = gen_product_state(dims, args.seed, zero_avoidance=args.zero_avoidance)

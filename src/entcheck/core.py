@@ -4,12 +4,15 @@ Everything downstream (the factorization criteria, the rank oracle, the
 CLI pipeline) works on a dense complex coefficient array with one axis
 per subsystem.  All values are immutable after construction and every
 operation here is a pure function.  So the facts about a tensor that
-every stage reads, its total and per-party sums and its largest |c| with
-the first index that reaches it (the rank oracle's pivot), are computed
-once per tensor, on first use, and kept on it (`CoeffTensor._sums`,
-`CoeffTensor._range`); nothing can make them stale.  A copy with one
-line negated (`CoeffTensor._line_negated`, the sign-flip stage's) takes
-its parent's `_range`, which negation keeps.
+every stage reads are computed once per tensor and kept on it; nothing
+can make them stale.  Its largest and smallest |c|, with the first index
+of the largest (the rank oracle's pivot), come from the one slab walk
+that also checks the input at construction (`CoeffTensor._range`): the
+zero tensor has max |c| = 0, and a NaN, an infinite entry or a modulus
+that overflows makes max |c| non-finite.  Its total and per-party sums
+are formed on first use (`CoeffTensor._sums`).  A copy with one line
+negated (`CoeffTensor._line_negated`, the sign-flip stage's) takes its
+parent's `_range`, which negation keeps.
 
 Full-size passes go through one slab walk, `_slab_walk`: the tensor in
 row-major slabs of about `_SLAB` = 2**14 entries, each with the matching
@@ -61,7 +64,9 @@ class Tolerances:
 
     eps_mag  -- relative magnitude tolerance (dimensionless).
     eps_ang  -- absolute angular tolerance in radians; must stay below pi.
-    eps_rank -- singular-value / pivot cutoff relative to the largest one.
+    eps_rank -- singular-value / pivot cutoff relative to the largest one;
+                must stay below 1, or a second pivot as large as the first
+                would pass as noise.
     """
 
     eps_mag: float = 1e-9
@@ -77,6 +82,8 @@ class Tolerances:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.eps_ang < math.pi):
             raise ValueError(f"eps_ang must be below pi, got {self.eps_ang!r}")
+        if not (self.eps_rank < 1.0):
+            raise ValueError(f"eps_rank must be below 1, got {self.eps_rank!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -90,18 +97,15 @@ class CoeffTensor:
     Indices are zero-based.  The bipartite case r=2 is an m x n matrix.
 
     The zero tensor does not describe a state and is rejected, and so is
-    any NaN or infinite entry.
+    any NaN or infinite entry, or one whose modulus overflows.
 
     The array is read-only, so the facts every criterion reads are
-    computed once, on first use, and kept: `_range` and `_sums`.
+    computed once and kept: `_range` by the checks at construction,
+    `_sums` on first use.
     """
 
-    def __init__(self, entries, dims=None):
-        array = np.array(entries, dtype=complex)
-        if dims is not None:
-            dims = tuple(int(d) for d in dims)
-            array = array.reshape(dims)
-        self._array = _checked(array)
+    def __init__(self, entries):
+        self._array, self._range = _checked(np.array(entries, dtype=complex))
 
     @classmethod
     def _adopt(cls, array: np.ndarray) -> "CoeffTensor":
@@ -110,7 +114,7 @@ class CoeffTensor:
         if array.dtype != np.complex128:
             raise TypeError(f"can only adopt a complex128 array, got {array.dtype}")
         t = cls.__new__(cls)
-        t._array = _checked(array)
+        t._array, t._range = _checked(array)
         return t
 
     def _line_negated(self, axis: int, index: int) -> "CoeffTensor":
@@ -127,7 +131,7 @@ class CoeffTensor:
         flipped.setflags(write=False)
         t = CoeffTensor.__new__(CoeffTensor)
         t._array = flipped
-        t.__dict__["_range"] = self._range
+        t._range = self._range
         return t
 
     @property
@@ -151,11 +155,6 @@ class CoeffTensor:
         return self._range[0]
 
     @cached_property
-    def _range(self) -> tuple:
-        """(max |c|, min |c|, flat index of the first max): `_abs_range`."""
-        return _abs_range(self._array)
-
-    @cached_property
     def _sums(self) -> tuple:
         """(total sum, every party's partial-sum vector in party order),
         the vectors read-only: `array.sum()` and `_all_party_sums`."""
@@ -167,7 +166,7 @@ class CoeffTensor:
     @property
     def norm(self) -> float:
         with np.errstate(over="ignore", under="ignore"):
-            return math.ldexp(*_norm_and_exponent(self._array))
+            return float(np.ldexp(*_norm_and_exponent(self._array)))
 
     def __eq__(self, other):
         if not isinstance(other, CoeffTensor):
@@ -178,18 +177,22 @@ class CoeffTensor:
         return f"CoeffTensor(dims={self.dims})"
 
 
-def _checked(array: np.ndarray) -> np.ndarray:
-    """`array`, made read-only, once it passes the state checks."""
+def _checked(array: np.ndarray) -> tuple:
+    """(`array` made read-only, its `_abs_range`) once it passes the state
+    checks.  The one range walk decides both value checks: max |c| is 0
+    only for the zero tensor, and finite only when every entry and its
+    modulus are."""
     if array.ndim < 2:
         raise ValueError(f"need at least 2 parties, got shape {array.shape}")
     if any(d < 1 for d in array.shape):
         raise ValueError(f"every dimension must be >= 1, got {array.shape}")
-    if not array.any():
+    extent = _abs_range(array)
+    if extent[0] == 0.0:
         raise ValueError("the zero tensor does not describe a state")
-    if not np.isfinite(array).all():
-        raise ValueError("entries must be finite, got NaN or inf")
+    if not extent[0] < math.inf:
+        raise ValueError("entries and their moduli must be finite, got NaN or inf")
     array.setflags(write=False)
-    return array
+    return array, extent
 
 
 def _ldexp(a: np.ndarray, n: int) -> np.ndarray:
@@ -310,14 +313,20 @@ def _slab_walk(c: np.ndarray, vectors=()):
 
 def _abs_range(c: np.ndarray) -> tuple:
     """(max |c|, min |c|, flat index of the first max in row-major order)
-    from one slab walk, without a full-size |c|."""
+    from one slab walk, without a full-size |c|.  It stops at the first
+    slab whose largest |c| is NaN or infinite and returns that value as
+    the max, so one non-finite entry anywhere makes the max non-finite.
+    Each slab's |c| is freed before the next one is formed."""
     hi, lo, top = -1.0, math.inf, 0
     for offset, block, _ in _slab_walk(c):
         mags = np.abs(block)
-        k = int(mags.argmax())
-        if mags.flat[k] > hi:
+        k = int(mags.argmax())  # the first NaN, if there is one
+        if not mags.flat[k] <= hi:
             hi, top = float(mags.flat[k]), offset + k
         lo = min(lo, float(mags.min()))
+        del mags
+        if not hi < math.inf:
+            break
     return hi, lo, top
 
 
@@ -349,7 +358,9 @@ def partial_sum(t: CoeffTensor, party: int, index: int) -> complex:
     """Sum of all coefficients whose party-th index equals `index`.
 
     `party` is one-based (1..r); `index` is zero-based.  For a matrix,
-    party 1 gives row sums and party 2 gives column sums.
+    party 1 gives row sums and party 2 gives column sums.  The value is
+    the tensor's own partial sum (`CoeffTensor._sums`), the one the sum
+    criteria read, bit for bit.
     """
     if not 1 <= party <= t.party_count:
         raise IndexError(f"party {party} out of range 1..{t.party_count}")
@@ -357,7 +368,7 @@ def partial_sum(t: CoeffTensor, party: int, index: int) -> complex:
         raise IndexError(
             f"index {index} out of range for party {party} with dimension {t.dims[party - 1]}"
         )
-    return complex(t.array.take(index, axis=party - 1).sum())
+    return complex(t._sums[1][party - 1][index])
 
 
 def _all_party_sums(c: np.ndarray) -> list:

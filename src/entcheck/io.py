@@ -62,10 +62,10 @@ from .core import CoeffTensor
 
 FORMATS = ("dense", "sparse")
 
-# Largest entry count a `dims:` header (or `entcheck gen --dims`) may ask
-# for: 2**26 complex128 entries are 1 GiB.  The sparse loader allocates
-# the whole tensor from the header before it reads a single record, so
-# the cap is checked first.
+# Largest entry count `parse_dims` takes, for a `dims:` header or
+# `entcheck gen --dims`: 2**26 complex128 entries are 1 GiB.  The sparse
+# loader allocates the whole tensor from the header before it reads a
+# single record, so the cap is checked first.
 MAX_ENTRIES = 2**26
 
 # Numbers formatted per `str.format` call by `dumps`, and entries a
@@ -114,9 +114,7 @@ def _chunk_rows(chunk):
     """The tokens of each line of `chunk` that is not blank or a comment:
     the lines of `_lines`, split, without the offsets and line numbers
     that would make a sparse load about a fifth slower."""
-    if "#" in chunk:
-        return [row for raw in chunk.splitlines() if (row := raw.split("#", 1)[0].split())]
-    return [row for row in map(str.split, chunk.splitlines()) if row]
+    return [row for raw in chunk.splitlines() if (row := raw.split("#", 1)[0].split())]
 
 
 def _split_headers(text, allowed):
@@ -133,23 +131,32 @@ def _split_headers(text, allowed):
     return headers, (len(text), 0)
 
 
+def parse_dims(text: str) -> tuple:
+    """The dimensions in `text`, separated by commas, spaces or both: at
+    least two, each at least 1, and at most `MAX_ENTRIES` entries in all.
+    ValueError otherwise.  The rule of `dims:` headers and of
+    `entcheck gen --dims`."""
+    try:
+        dims = tuple(int(tok) for tok in text.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"bad dims {text!r}") from None
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise ValueError(f"dims must be >= 2 positive integers, got {dims}")
+    if math.prod(dims) > MAX_ENTRIES:
+        raise ValueError(
+            f"dims {dims} ask for {math.prod(dims)} entries, above the cap of {MAX_ENTRIES}"
+        )
+    return dims
+
+
 def _parse_dims(headers):
     if "dims" not in headers:
         raise ParseError(0, "missing 'dims:' header")
     line_no, text = headers["dims"]
     try:
-        dims = tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ParseError(line_no, f"bad dims {text!r}") from None
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ParseError(line_no, f"dims must be >= 2 positive integers, got {dims}")
-    if math.prod(dims) > MAX_ENTRIES:
-        raise ParseError(line_no, too_many_entries(dims))
-    return dims
-
-
-def too_many_entries(dims) -> str:
-    return f"dims {dims} ask for {math.prod(dims)} entries, above the cap of {MAX_ENTRIES}"
+        return parse_dims(text)
+    except ValueError as exc:
+        raise ParseError(line_no, str(exc)) from None
 
 
 def loads(text: str, format: str = "dense") -> CoeffTensor:

@@ -65,4 +65,4 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
 
 def reconstruct(f: LocalFactors) -> CoeffTensor:
     """Dense tensor rebuilt as the outer product of the factor vectors."""
-    return CoeffTensor(f.outer())
+    return CoeffTensor._adopt(f.outer())

@@ -298,7 +298,7 @@ def gen_product_state(dims, rng_seed: int, zero_avoidance: bool = False) -> Coef
         if zero_avoidance and abs(entries.sum()) < 1e-6:
             continue
         if entries.any():
-            return CoeffTensor(entries)
+            return CoeffTensor._adopt(entries)
 
 
 def gen_random_state(dims, rng_seed: int) -> CoeffTensor:
@@ -308,4 +308,4 @@ def gen_random_state(dims, rng_seed: int) -> CoeffTensor:
     while True:
         entries = _disk_samples(rng, int(np.prod(dims))).reshape(dims)
         if entries.any():
-            return CoeffTensor(entries)
+            return CoeffTensor._adopt(entries)

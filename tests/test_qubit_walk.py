@@ -1,4 +1,4 @@
-"""The slab walk's outer products and the two-step sum bound, bit for bit.
+"""The slab walk's outer products and the sum bound, bit for bit.
 
 `core._slab_walk` forms the leading parties' product once and multiplies
 the trailing vectors into each slab's run of it, in long loops for small
@@ -10,11 +10,12 @@ Parties of dimension 1 cover the one product numpy forms without a
 fused multiply-add, a 1 x 1 outer product (`_outer_rows` keeps to the
 full reduce's choice).
 
-`bipartite._sum_slabs` first bounds the residual without |rhs| and
-widens the bound only on a slab that fails; its residuals and masks must
-equal a frozen copy of the one-step bound it replaced, on the sum-kernel
-corpus, on entries nudged to just inside and just outside the bound, and
-on overflowing inputs whose residuals are NaN.
+`bipartite._sum_slabs` skips the bound on a slab whose residuals are
+all at most eps_mag * floor and forms the one-step bound on any other;
+its residuals and masks must equal a frozen copy of the one-step bound
+on every slab, on the sum-kernel corpus, on entries nudged to just
+inside and just outside the bound, and on overflowing inputs whose
+residuals are NaN.
 """
 
 from functools import reduce
@@ -86,11 +87,11 @@ def test_real_and_mixed_vectors_keep_their_bits():
         assert np.array_equal(got.view(np.uint64), full.reshape(-1).view(np.uint64))
 
 
-# --- the two-step sum bound -----------------------------------------------------
+# --- the sum bound ---------------------------------------------------------------
 
 
 def _one_step_sum_slabs(c, partials, power, floor, tol):
-    """The bound as it was formed before it had two steps (frozen)."""
+    """The one-step bound, formed on every slab (frozen)."""
     for offset, block, rhs in _slab_walk(c, partials):
         lhs = block * power
         resid = np.abs(lhs - rhs)
