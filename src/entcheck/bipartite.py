@@ -12,7 +12,11 @@ decides.  The sum criterion runs on the core slab walk: each slab of
 about 2**14 entries forms its own products, residuals, bounds and mask,
 and the walk stops at the first slab that decides, so no temporary is
 the size of the matrix.  The sign-flip screen's per-line maxima are
-formed on the same walk.
+formed on the same walk.  `multiparty_sum_test` and step 1 of
+`magnitude_phase_test` run the same check (`_first_sum_violation`).
+Every bound is relative to the input's own scale (max|c|, the total sum
+and their products), with no absolute floor, so scaling a state by 1e-5
+leaves its verdict alone.
 
 On a zero-total matrix the full passes run only when the O(m + n) row,
 column and total sums cannot settle their question: the vanishing-total

@@ -1,7 +1,8 @@
 """Command line interface.
 
 entcheck analyze --input state.txt [--format dense|sparse] [--method ...]
-entcheck gen --product|--random --dims 2,2 [--seed N]
+entcheck gen --product|--random --dims 2,2 [--seed N] [--zero-avoidance]
+             [--out-format dense|sparse] [--output PATH]
 
 `--dims` takes the dimensions separated by commas or spaces, by the
 rule of a state file's `dims:` header (`io.parse_dims`).
@@ -124,8 +125,7 @@ def _cmd_gen(args) -> int:
     else:
         tensor = gen_random_state(dims, args.seed)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            state_io.dumps(tensor, args.out_format, fh)
+        state_io.save_state(tensor, args.output, args.out_format)
     else:
         state_io.dumps(tensor, args.out_format, sys.stdout)
     return 0

@@ -84,17 +84,15 @@ def numeric_rank(mat, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     a = np.array(mat, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not a.any():
+    largest = np.abs(a).max(initial=0.0)
+    if largest == 0:
         raise ValueError("rank of the zero matrix is undefined here")
     m, n = a.shape
     rank = 0
-    largest = None
     for k in range(min(m, n)):
         block = np.abs(a[k:, k:])
         pi, pj = np.unravel_index(int(block.argmax()), block.shape)
         pivot = block[pi, pj]
-        if largest is None:
-            largest = pivot
         if pivot <= tol.eps_rank * largest:
             break
         a[[k, k + pi], :] = a[[k + pi, k], :]
@@ -278,9 +276,10 @@ def _disk_samples(rng: np.random.Generator, size: int) -> np.ndarray:
 def gen_product_state(dims, rng_seed: int, zero_avoidance: bool = False) -> CoeffTensor:
     """Outer product of per-party random unit-disk vectors.
 
-    With zero_avoidance, factor entries below magnitude 0.1 are resampled
-    and whole draws are rejected until |total sum| >= 1e-6.  Deterministic
-    for a given seed.
+    Without zero_avoidance one draw is taken.  With it, factor entries
+    below magnitude 0.1 are resampled, and whole draws are retried until
+    |total sum| >= 1e-6.  Deterministic for a given seed; the shape is
+    checked by `CoeffTensor`, so a dimension of 0 raises.
     """
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(rng_seed)
@@ -288,24 +287,16 @@ def gen_product_state(dims, rng_seed: int, zero_avoidance: bool = False) -> Coef
         vectors = []
         for d in dims:
             v = _disk_samples(rng, d)
-            if zero_avoidance:
-                small = np.abs(v) < 0.1
-                while small.any():
-                    v[small] = _disk_samples(rng, int(small.sum()))
-                    small = np.abs(v) < 0.1
+            while zero_avoidance and len(small := np.flatnonzero(np.abs(v) < 0.1)):
+                v[small] = _disk_samples(rng, len(small))
             vectors.append(v)
-        entries = reduce(np.multiply.outer, vectors)
-        if zero_avoidance and abs(entries.sum()) < 1e-6:
-            continue
-        if entries.any():
-            return CoeffTensor._adopt(entries)
+        t = CoeffTensor._adopt(reduce(np.multiply.outer, vectors))
+        if not zero_avoidance or abs(t.array.sum()) >= 1e-6:
+            return t
 
 
 def gen_random_state(dims, rng_seed: int) -> CoeffTensor:
     """I.i.d. unit-disk entries; almost surely entangled for dims >= (2, 2)."""
     dims = tuple(int(d) for d in dims)
     rng = np.random.default_rng(rng_seed)
-    while True:
-        entries = _disk_samples(rng, int(np.prod(dims))).reshape(dims)
-        if entries.any():
-            return CoeffTensor._adopt(entries)
+    return CoeffTensor._adopt(_disk_samples(rng, math.prod(dims)).reshape(dims))

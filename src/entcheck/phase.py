@@ -21,6 +21,12 @@ grid is never formed.  The identity is checked one slab at a time and
 the check stops at the first violating slab.  Every entry's tolerance
 is at least eps_ang, so the per-entry tolerances are formed only on a
 slab where some distance exceeds eps_ang.
+
+The identity fixes each argument only modulo 2*pi / d: the entangled
+grid exp(2*pi*i/3 * [[1, 2, 0], [2, 1, 0], [0, 0, 0]]) satisfies it
+exactly.  So the test ends by rebuilding the factors and checking
+max|a (x) b - c| <= 10 * eps_mag * max|c|, and that check is what makes
+the verdict right.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ def circular_distance(x: float, y: float) -> float:
 class PhaseSolution:
     """Shared phase constant and per-index angles of a phase decomposition.
 
+    alpha and beta are angles in [0, 2*pi), 0 for a zero coordinate.
     For every entry above the zero cutoff, alpha_i + beta_j matches the
     entry's argument modulo 2*pi, and mags_a[i] * mags_b[j] matches the
     entry's magnitude.  `d` is the squared-up working dimension,
@@ -240,16 +247,12 @@ def solve_phases(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Option
     if not verdict.is_factorized:
         return None
     a, b = verdict.factors.vectors
-    mags_a = np.abs(a)
-    mags_b = np.abs(b)
-    alpha = tuple(float(np.mod(np.angle(x), TWO_PI)) if abs(x) > 0 else 0.0 for x in a)
-    beta = tuple(float(np.mod(np.angle(x), TWO_PI)) if abs(x) > 0 else 0.0 for x in b)
     _, _, live_rows, live_cols, _ = _support(t, tol)
     return PhaseSolution(
         d=int(max(live_rows.sum(), live_cols.sum())),
         c=phase_constant(t, tol),
-        alpha=alpha,
-        beta=beta,
-        mags_a=tuple(float(x) for x in mags_a),
-        mags_b=tuple(float(x) for x in mags_b),
+        alpha=tuple(_arguments(a, a == 0).tolist()),
+        beta=tuple(_arguments(b, b == 0).tolist()),
+        mags_a=tuple(np.abs(a).tolist()),
+        mags_b=tuple(np.abs(b).tolist()),
     )
