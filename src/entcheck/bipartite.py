@@ -31,6 +31,7 @@ and factors are those of the full passes, bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -60,9 +61,12 @@ class PreconditionError(ValueError):
     """A caller violated an operation's stated precondition."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalFactors:
-    """Per-party coefficient vectors of a claimed factorization."""
+    """Per-party coefficient vectors of a claimed factorization.
+
+    Equal factors have equal dims and equal vectors, entry by entry, as
+    for `CoeffTensor`; like it, they are not hashable."""
 
     vectors: tuple
 
@@ -82,6 +86,11 @@ class LocalFactors:
     @property
     def dims(self):
         return tuple(v.size for v in self.vectors)
+
+    def __eq__(self, other):
+        if not isinstance(other, LocalFactors):
+            return NotImplemented
+        return self.dims == other.dims and all(map(np.array_equal, self.vectors, other.vectors))
 
     def outer(self) -> np.ndarray:
         """Dense outer product of the factor vectors."""
@@ -315,7 +324,10 @@ def equivalence_scalar(
     Two factorizations of the same bipartite state differ exactly by such
     a reciprocal rescaling.  The scalar is computed from the first
     sufficiently nonzero coordinate of f1's first vector and verified on
-    every coordinate of both vectors.  Returns None when no scalar works.
+    every coordinate of both vectors, each within eps_mag times the larger
+    max modulus of the two vectors compared, so the check has no absolute
+    floor and means the same at every scale.  Returns None when no scalar
+    works, and for a non-finite scalar or one of modulus at most eps_mag.
     """
     if len(f1.vectors) != 2 or len(f2.vectors) != 2:
         raise ValueError("scalar equivalence applies to bipartite factor pairs")
@@ -327,11 +339,11 @@ def equivalence_scalar(
     pivots = np.abs(a1) > tol.eps_mag * np.abs(a1).max()
     k = int(np.argmax(pivots))
     s = complex(a2[k] / a1[k])
-    if abs(s) <= tol.eps_mag:
+    if abs(s) <= tol.eps_mag or not cmath.isfinite(s):
         return None
 
     def close(u, v):
-        bound = tol.eps_mag * max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
+        bound = tol.eps_mag * max(float(np.abs(u).max()), float(np.abs(v).max()))
         return bool(np.all(np.abs(u - v) <= bound))
 
     if close(a2, s * a1) and close(b2, b1 / s):

@@ -52,7 +52,10 @@ on the values remain the floor of the per-value cost.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import stat
 from itertools import chain, product
 from typing import Optional
 
@@ -428,5 +431,33 @@ def _label_groups(dims):
 
 
 def save_state(t: CoeffTensor, path, format: str = "dense"):
-    with open(path, "w", encoding="utf-8") as fh:
-        dumps(t, format, fh)
+    """Write `t` to the file `path` in `format`.
+
+    A missing path or a regular file is replaced only once the text is
+    complete: the text goes to a temporary file in the same directory,
+    with the mode a plain `open(path, "w")` would give, and that file is
+    renamed over `path`.  On any failure the temporary file is removed
+    and `path` is left as it was.  Anything else (a symlink, a FIFO or a
+    device such as /dev/stdout) is opened and written in place."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            dumps(t, format, fh)
+        return
+    # a plain open(path, "w") keeps an existing file's mode, and "x" gives
+    # a new file the mode "w" would
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            if st is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(st.st_mode))
+            dumps(t, format, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

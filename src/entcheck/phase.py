@@ -17,10 +17,16 @@ squared up with d - m' copies of the reference row (or d - n' of the
 reference column).  The copies enter the column (row) sums as one
 multiple of the reference line, and their identities repeat the
 reference line's, which comes first in row-major order, so the square
-grid is never formed.  The identity is checked one slab at a time and
-the check stops at the first violating slab.  Every entry's tolerance
-is at least eps_ang, so the per-entry tolerances are formed only on a
-slab where some distance exceeds eps_ang.
+grid is never formed.  The sums are arrays of their own, never views of
+the argument grid, so adding the copies leaves the grid as it was.  The
+identity is checked one slab at a time and the check stops at the first
+violating slab.  Every entry's tolerance is at least eps_ang, so the
+per-entry tolerances are formed only on a slab where some distance
+exceeds eps_ang.
+
+The support (|c|, the zero cutoff, the live lines and the largest
+entry) is formed once per call: `solve_phases` hands the test's support
+to the phase constant and takes d from there.
 
 The identity fixes each argument only modulo 2*pi / d: the entangled
 grid exp(2*pi*i/3 * [[1, 2, 0], [2, 1, 0], [0, 0, 0]]) satisfies it
@@ -118,7 +124,11 @@ def _arguments(z: np.ndarray, dead: np.ndarray) -> np.ndarray:
 def _column_sums(x: np.ndarray) -> np.ndarray:
     """Column sums added as a balanced tree, row i onto row i + m // 2
     until one row is left: each is within ceil(log2 m) u of exact, where
-    adding row after row, as numpy's axis-0 sum does, is within (m - 1) u."""
+    adding row after row, as numpy's axis-0 sum does, is within (m - 1) u.
+    The result is an array of its own, never a view of `x`, so a caller
+    may add to it in place."""
+    if len(x) == 1:
+        return x[0].copy()
     while len(x) > 1:
         half = len(x) // 2
         x = np.concatenate((x[:half] + x[half : 2 * half], x[2 * half :]))
@@ -143,8 +153,13 @@ def phase_constant(
     depend on the reference choice.
     """
     _require_bipartite(t)
+    return _phase_constant(t, _support(t, tol), ref)[0]
+
+
+def _phase_constant(t: CoeffTensor, support, ref) -> Tuple[float, int]:
+    """(`phase_constant`, squared-up dimension d) from `_support`'s tuple."""
     c = t.array
-    mags, cutoff, live_rows, live_cols, (ti, tj) = _support(t, tol)
+    mags, cutoff, live_rows, live_cols, (ti, tj) = support
     i, j = (ti, tj) if ref is None else ref
     if not (0 <= i < c.shape[0] and 0 <= j < c.shape[1] and mags[i, j] > cutoff):
         raise ValueError(f"reference entry {ref} is zero or outside the nonzero support")
@@ -166,7 +181,7 @@ def phase_constant(
         col = np.append(col, np.full(d - m2, arg(ti, j)))
     elif n2 < m2:
         row = np.append(row, np.full(d - n2, arg(i, tj)))
-    return float((row.sum() + np.add.accumulate(col)[-1] - d * arg(i, j)) % TWO_PI)
+    return float((row.sum() + np.add.accumulate(col)[-1] - d * arg(i, j)) % TWO_PI), d
 
 
 def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -182,9 +197,14 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     modulo 2*pi / d, so that check is what makes the test exact.
     """
     _require_bipartite(t)
+    return _magnitude_phase_test(t, tol, _support(t, tol))
+
+
+def _magnitude_phase_test(t: CoeffTensor, tol: Tolerances, support) -> Verdict:
+    """`magnitude_phase_test` on `_support`'s tuple for `t`."""
     c = t.array
     n = c.shape[1]
-    mags, cutoff, live_rows, live_cols, (ri, rj) = _support(t, tol)
+    mags, cutoff, live_rows, live_cols, (ri, rj) = support
     cmax = mags[ri, rj]
 
     # Step 1: magnitude condition.
@@ -225,7 +245,7 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
                 return _entangled(_witness(c, offset, bad, dist), "phase condition violated")
             del bound, bad
         del sums, x, dist  # before the next slab's are made
-    del args, mags  # nor does the reconstruction need these
+    del args  # nor does the reconstruction need it
 
     # Reconstruct factors: magnitudes from the sums, phases anchored at
     # the reference row and column.
@@ -243,14 +263,16 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
 
 def solve_phases(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Optional[PhaseSolution]:
     """PhaseSolution for a factorizable matrix, or None when the test fails."""
-    verdict = magnitude_phase_test(t, tol)
+    _require_bipartite(t)
+    support = _support(t, tol)
+    verdict = _magnitude_phase_test(t, tol, support)
     if not verdict.is_factorized:
         return None
     a, b = verdict.factors.vectors
-    _, _, live_rows, live_cols, _ = _support(t, tol)
+    const, d = _phase_constant(t, support, None)
     return PhaseSolution(
-        d=int(max(live_rows.sum(), live_cols.sum())),
-        c=phase_constant(t, tol),
+        d=d,
+        c=const,
         alpha=tuple(_arguments(a, a == 0).tolist()),
         beta=tuple(_arguments(b, b == 0).tolist()),
         mags_a=tuple(np.abs(a).tolist()),
