@@ -9,11 +9,21 @@ unfolding has rank 1 iff no entry of the residual outside the pivot row
 and column exceeds eps_rank * |c[p]|.  That is the cutoff and the
 arithmetic of the second step of `numeric_rank`, done by broadcasting on
 the tensor, so no unfolding is copied.  The residual is only formed on
-the slabs i_k < p_k and i_k > p_k (basic slices of the tensor), one slab
-at a time in a reused buffer: the pivot row is never computed, which
-halves the work for qubits.  The decision reports a rank of
-1, an exact 2 when the unfolding has a side of length 2, and ">=2"
-otherwise; `numeric_rank(unfold(t, k))` gives the exact rank.
+the slabs i_k < p_k and i_k > p_k (basic slices of the tensor): the
+pivot row is never computed, which halves the work for qubits.  A slab
+of more than `_PIECE` = 2**16 entries is cut along its leading indices
+into pieces of at most that many, so each worker needs one residual and
+one magnitude buffer of at most 2**16 entries, whatever the tensor's
+size.  Above 2**16 entries, with a second CPU usable, the caller and one
+helper thread take pieces from one shared iterator until none are left
+(numpy releases the GIL inside the ufunc loops); the helper is joined
+before the call returns.  Every residual entry is one quotient-product-
+difference-modulus chain on the same operands whichever piece and
+thread forms it, and a maximum does not depend on the order it is taken
+in, so the decision is bit-identical to one pass over the whole tensor.
+The decision reports a rank of 1, an exact 2 when the unfolding has a
+side of length 2, and ">=2" otherwise; `numeric_rank(unfold(t, k))`
+gives the exact rank.
 
 For r >= 3 parties the pipeline may first try `_rank_one_screen`, which
 needs one pass instead of r.  Let f_k be the fibre of party k through p
@@ -37,7 +47,10 @@ random-state generators the property tests are built on.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -61,6 +74,10 @@ from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _over
 # r >= 3; 64ru is allowed.
 _SCREEN_ROUNDING = 32 * float(np.finfo(float).eps)
 
+# Most entries `unfolding_ranks` forms in one piece of an off-pivot slab,
+# and the tensor size above which a helper thread takes pieces too.
+_PIECE = 1 << 16
+
 # Smallest |c[p]| the screen takes.  Below it the absolute rounding of
 # subnormal results (2**-1075) is no longer small against u * |c[p]|,
 # and `unfolding_ranks` decides.
@@ -79,7 +96,7 @@ def numeric_rank(mat, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Rank via complete-pivot Gaussian elimination.
 
     Counts pivots exceeding eps_rank times the largest pivot.  Raises on
-    a zero matrix.
+    a zero matrix and on a NaN or infinite entry.
     """
     a = np.array(mat, dtype=complex)
     if a.ndim != 2:
@@ -87,6 +104,8 @@ def numeric_rank(mat, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     largest = np.abs(a).max(initial=0.0)
     if largest == 0:
         raise ValueError("rank of the zero matrix is undefined here")
+    if not np.isfinite(largest):
+        raise ValueError("entries and their moduli must be finite, got NaN or inf")
     m, n = a.shape
     rank = 0
     for k in range(min(m, n)):
@@ -128,42 +147,31 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
     All unfoldings share the pivot p, the entry of largest |c|.  For
     unfolding k the residual c - (c[p_1..:..p_r] / c[p]) (x) c[.., p_k, ..]
     is formed only on the two off-pivot slabs i_k < p_k and i_k > p_k
-    (the pivot row is left out, never computed), slab by slab in one
-    reused flat buffer whose magnitudes go into a second one of the same
-    length; the pivot column is zeroed in each slab.  For two parties the
-    second unfolding is the transpose of the first and reuses its test.
+    (the pivot row is left out, never computed), in pieces of at most
+    `_PIECE` entries (`_pieces`), each into a reused flat buffer whose
+    magnitudes go into a second one; the pivot column is zeroed in each
+    piece.  A tensor of more than `_PIECE` entries is worked by the
+    caller and one helper thread when a second CPU is usable
+    (`_two_workers`), otherwise by the caller alone; the caller
+    allocates every buffer pair.  Each entry is formed by the same ufunc
+    calls on the same operands in either case, and the largest magnitude
+    per axis is the same whatever the order of the pieces, so the
+    decision does not depend on the cut or the workers.  For two parties
+    the second unfolding is the transpose of the first and reuses its
+    test.
     """
     c = t.array
     r = t.party_count
     largest, _, top = t._range
     p = np.unravel_index(top, c.shape)
-    pivot = c[p]
     axes = range(1 if r == 2 else r)
-    residual = np.empty(
-        max(max(p[k], c.shape[k] - 1 - p[k]) * (c.size // c.shape[k]) for k in axes),
-        dtype=c.dtype,
-    )
-    magnitude = np.empty(residual.size)
-    seconds = []
-    for axis in axes:
-        fiber_at = p[:axis] + (slice(None),) + p[axis + 1 :]
-        scaled_fiber = _over_pivot(c[fiber_at], pivot)
-        row = np.expand_dims(c[(slice(None),) * axis + (p[axis],)], axis)
-        shape = [1] * r
-        second = 0.0
-        for lo, hi in ((0, p[axis]), (p[axis] + 1, c.shape[axis])):
-            if lo == hi:
-                continue
-            slab = c[(slice(None),) * axis + (slice(lo, hi),)]
-            shape[axis] = hi - lo
-            out = residual[: slab.size].reshape(slab.shape)
-            np.multiply(scaled_fiber[lo:hi].reshape(shape), row, out=out)
-            np.subtract(slab, out, out=out)
-            slab_magnitude = magnitude[: slab.size].reshape(slab.shape)
-            np.abs(out, out=slab_magnitude)
-            slab_magnitude[fiber_at] = 0.0
-            second = max(second, slab_magnitude.max())
-        seconds.append(second)
+    size = min(_PIECE, max(max(p[k], c.shape[k] - 1 - p[k]) * (c.size // c.shape[k]) for k in axes))
+    pieces = _pieces(c, p, axes)
+    if c.size > _PIECE and _usable_cpus() > 1:
+        seconds = _two_workers(pieces, size, c.dtype, len(axes))
+    else:
+        seconds = [0.0] * len(axes)
+        _second_pivots(pieces, np.empty(size, dtype=c.dtype), np.empty(size), seconds)
     if r == 2:
         seconds.append(seconds[0])
     ranks = []
@@ -175,6 +183,145 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
         else:
             ranks.append(">=2")
     return RankDecision(tuple(ranks), float(max(seconds) / largest))
+
+
+def _pieces(c: np.ndarray, p: tuple, axes):
+    """The off-pivot residual of every unfolding in `axes`, in pieces.
+
+    Yields (axis, block, fibre, row, fibre_at): `block` is a piece of the
+    slab i_axis < p_axis or i_axis > p_axis of c, `fibre` (the fibre
+    through p along the axis, divided by c[p]) and `row` (the slice
+    i_axis = p_axis) broadcast to its residual, and `fibre_at` indexes
+    the entries of the fibre through p inside it, or is None when it
+    holds none.  A slab of at most `_PIECE` entries is one piece, with
+    fibre and row in the shapes numpy broadcasts from; a larger one is
+    cut (`_cut`).
+    """
+    pivot = c[p]
+    r = c.ndim
+    for axis in axes:
+        fiber_at = p[:axis] + (slice(None),) + p[axis + 1 :]
+        scaled_fiber = _over_pivot(c[fiber_at], pivot)
+        row = np.expand_dims(c[(slice(None),) * axis + (p[axis],)], axis)
+        shape = [1] * r
+        for lo, hi in ((0, p[axis]), (p[axis] + 1, c.shape[axis])):
+            if lo == hi:
+                continue
+            slab = c[(slice(None),) * axis + (slice(lo, hi),)]
+            shape[axis] = hi - lo
+            fibre = scaled_fiber[lo:hi].reshape(shape)
+            if slab.size <= _PIECE:
+                yield axis, slab, fibre, row, fiber_at
+            else:
+                yield from _cut(axis, p, slab, fibre, row)
+
+
+def _cut(axis: int, p: tuple, slab: np.ndarray, fibre: np.ndarray, row: np.ndarray):
+    """`_pieces` of one off-pivot slab of more than `_PIECE` entries.
+
+    The cut depth d is the first whose trailing entries, prod(shape[d+1:]),
+    number at most `_PIECE`; a piece fixes the indices before d and takes
+    a run of as many indices along d as keeps it within `_PIECE` entries.
+    Fibre and row are broadcast to the slab's shape and cut the same way,
+    so each residual entry sees the operands it would in the whole slab.
+    """
+    shape = slab.shape
+    depth = 0
+    while math.prod(shape[depth + 1 :]) > _PIECE:
+        depth += 1
+    step = _PIECE // math.prod(shape[depth + 1 :])
+    fibre = np.broadcast_to(fibre, shape)
+    row = np.broadcast_to(row, shape)
+    tail = (p[:axis] + (slice(None),) + p[axis + 1 :])[depth + 1 :]  # the fibre past the depth
+    for lead in np.ndindex(*shape[:depth]):
+        # slab indices off the axis are the tensor's; the fibre through p
+        # takes every index along the axis and p's everywhere else
+        on_fibre = all(i == p[k] for k, i in enumerate(lead) if k != axis)
+        for start in range(0, shape[depth], step):
+            at = lead + (slice(start, start + step),)
+            fibre_at = None
+            if on_fibre and depth == axis:
+                fibre_at = (slice(None),) + tail
+            elif on_fibre and start <= p[depth] < start + step:
+                fibre_at = (p[depth] - start,) + tail
+            yield axis, slab[at], fibre[at], row[at], fibre_at
+
+
+def _second_pivots(pieces, residual: np.ndarray, magnitude: np.ndarray, seconds: list) -> None:
+    """Form the residual of every piece `pieces` yields in the buffers
+    and raise seconds[axis] to its largest magnitude off the pivot fibre.
+    The one per-piece routine of both the caller and the helper."""
+    for axis, block, fibre, row, fibre_at in pieces:
+        out = residual[: block.size].reshape(block.shape)
+        np.multiply(fibre, row, out=out)
+        np.subtract(block, out, out=out)
+        block_magnitude = magnitude[: block.size].reshape(block.shape)
+        np.abs(out, out=block_magnitude)
+        if fibre_at is not None:
+            block_magnitude[fibre_at] = 0.0
+        seconds[axis] = max(seconds[axis], block_magnitude.max())
+
+
+def _two_workers(pieces, size: int, dtype, count: int) -> list:
+    """Largest off-fibre magnitude per axis, from the caller and one
+    helper thread taking `pieces` from one shared iterator.
+
+    A shared iterator, not a fixed split, so a helper starved of CPU
+    costs about the serial time, not the caller's wait for it.  The
+    helper runs in a copy of the caller's context, so numpy's errstate
+    holds in it; it runs only numpy, `core._over_pivot` and this
+    module's private functions, no public entry point that a caller may
+    wrap.  A failure in either worker ends the iteration; the helper is
+    always joined, and its exception is raised again here.  When no
+    thread can be started the caller takes every piece.
+    """
+    lock = threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                piece = next(pieces, None)
+            if piece is None:
+                return
+            yield piece
+
+    def stop():
+        with lock:
+            pieces.close()
+
+    buffers = [(np.empty(size, dtype=dtype), np.empty(size)) for _ in range(2)]
+    seconds = [[0.0] * count for _ in range(2)]
+    failed = []
+
+    def helper():
+        try:
+            _second_pivots(take(), *buffers[1], seconds[1])
+        except BaseException as exc:  # raised again in the caller after the join
+            failed.append(exc)
+            stop()
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    try:
+        thread.start()
+    except RuntimeError:  # no thread to be had
+        thread = None
+    try:
+        _second_pivots(take(), *buffers[0], seconds[0])
+    finally:
+        stop()
+        if thread is not None:
+            thread.join()
+    if failed:
+        raise failed[0]
+    return [max(a, b) for a, b in zip(*seconds)]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
 
 
 def _pivot_factors(c: np.ndarray) -> tuple:
@@ -256,7 +403,7 @@ def schmidt(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> SchmidtForm
     """Schmidt decomposition of a bipartite tensor via SVD."""
     if t.party_count != 2:
         raise ValueError(f"Schmidt decomposition needs 2 parties, got {t.party_count}")
-    u, s, vh = np.linalg.svd(t.array)
+    u, s, vh = np.linalg.svd(t.array, full_matrices=False)
     keep = int(np.count_nonzero(s > tol.eps_rank * s[0]))
     keep = max(keep, 1)
     return SchmidtForm(
