@@ -32,7 +32,7 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
     coefficient); otherwise every multi-index either certifies
     entanglement with a concrete witness or, collectively, yields the
     factor vectors.  Inconclusive too when S^(r-1) under- or overflows
-    so that the factors are not finite.
+    so that a factor is not finite or is the zero vector.
     """
     c = t.array
     r = t.party_count
@@ -53,7 +53,7 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vectors = (partials[0] / power, *partials[1:])
-    if not all(np.isfinite(v).all() for v in vectors):
+    if not all(np.isfinite(v).all() and v.any() for v in vectors):
         return Verdict(
             Outcome.INCONCLUSIVE,
             MULTI_SUM,

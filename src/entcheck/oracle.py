@@ -10,14 +10,17 @@ and column exceeds eps_rank * |c[p]|.  That is the cutoff and the
 arithmetic of the second step of `numeric_rank`, done by broadcasting on
 the tensor, so no unfolding is copied.  The residual is only formed on
 the slabs i_k < p_k and i_k > p_k (basic slices of the tensor): the
-pivot row is never computed, which halves the work for qubits.  A slab
-of more than `_PIECE` = 2**16 entries is cut along its leading indices
-into pieces of at most that many, so each worker needs one residual and
-one magnitude buffer of at most 2**16 entries, whatever the tensor's
-size.  Above 2**16 entries, with a second CPU usable, the caller and one
-helper thread take pieces from one shared iterator until none are left
-(numpy releases the GIL inside the ufunc loops); the helper is joined
-before the call returns.  Every residual entry is one quotient-product-
+pivot row is never computed, which halves the work for qubits.  One
+rule cuts every unfolding k (`_pieces`): it is the reshape view
+(A, d_k, B) of the row-major tensor, A the joint index of the parties
+before k and B of those after it, and each off-pivot slab (A, h, B) is
+cut into runs of at most `_PIECE` = 2**16 entries along A, or, where
+one index of A holds more, along h and then along B.  So each worker
+needs one residual and one magnitude buffer of at most 2**16 entries,
+whatever the tensor's size.  Above 2**16 entries, with a second CPU
+usable, the caller and one helper thread take pieces from one shared
+iterator until none are left (numpy releases the GIL inside the ufunc
+loops); the helper is joined before the call returns.  Every residual entry is one quotient-product-
 difference-modulus chain on the same operands whichever piece and
 thread forms it, and a maximum does not depend on the order it is taken
 in, so the decision is bit-identical to one pass over the whole tensor.
@@ -57,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _over_pivot, _slab_walk
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _abs_range, _ldexp, _over_pivot, _slab_walk
 
 # Rounding allowance of `_rank_one_screen`, per party, in units of |c[p]|.
 # With u = eps/2: a complex quotient is off by at most about 6u (Smith's
@@ -96,7 +99,11 @@ def numeric_rank(mat, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Rank via complete-pivot Gaussian elimination.
 
     Counts pivots exceeding eps_rank times the largest pivot.  Raises on
-    a zero matrix and on a NaN or infinite entry.
+    a zero matrix and on a NaN or infinite entry.  A matrix whose largest
+    modulus lies outside [2**-960, 2**960] is first scaled by the power
+    of two that brings it into [0.5, 1), as `core._over_pivot` scales its
+    operands, so no quotient or product of the elimination overflows;
+    inside that range the matrix is taken as it is.
     """
     a = np.array(mat, dtype=complex)
     if a.ndim != 2:
@@ -106,6 +113,9 @@ def numeric_rank(mat, tol: Tolerances = DEFAULT_TOLERANCES) -> int:
         raise ValueError("rank of the zero matrix is undefined here")
     if not np.isfinite(largest):
         raise ValueError("entries and their moduli must be finite, got NaN or inf")
+    if not 2.0**-960 <= largest <= 2.0**960:
+        a = _ldexp(a, -math.frexp(largest)[1])
+        largest = np.abs(a).max()
     m, n = a.shape
     rank = 0
     for k in range(min(m, n)):
@@ -188,63 +198,40 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
 def _pieces(c: np.ndarray, p: tuple, axes):
     """The off-pivot residual of every unfolding in `axes`, in pieces.
 
-    Yields (axis, block, fibre, row, fibre_at): `block` is a piece of the
-    slab i_axis < p_axis or i_axis > p_axis of c, `fibre` (the fibre
-    through p along the axis, divided by c[p]) and `row` (the slice
-    i_axis = p_axis) broadcast to its residual, and `fibre_at` indexes
-    the entries of the fibre through p inside it, or is None when it
-    holds none.  A slab of at most `_PIECE` entries is one piece, with
-    fibre and row in the shapes numpy broadcasts from; a larger one is
-    cut (`_cut`).
+    Unfolding k is the view (A, d, B) of the row-major tensor, A the
+    joint index of the parties before k and B of those after it, and its
+    off-pivot slabs are the (A, h, B) views i_k < p_k and i_k > p_k.  A
+    slab is cut into runs of at most `_PIECE` entries along A, or, where
+    one index of A holds more, along h and then along B; the fibre
+    through p divided by c[p], (1, h, 1), and the pivot row (A, 1, B) are
+    sliced the same way, so they broadcast to each piece's residual as
+    they do to the whole slab's.  Yields (axis, block, fibre, row,
+    fibre_at): `fibre_at` is the pivot fibre (p_A - i, :, p_B - k) inside
+    a piece that starts at (i, ., k), or None when it holds none of it.
     """
     pivot = c[p]
-    r = c.ndim
+    flat = int(np.ravel_multi_index(p, c.shape))
     for axis in axes:
-        fiber_at = p[:axis] + (slice(None),) + p[axis + 1 :]
-        scaled_fiber = _over_pivot(c[fiber_at], pivot)
-        row = np.expand_dims(c[(slice(None),) * axis + (p[axis],)], axis)
-        shape = [1] * r
-        for lo, hi in ((0, p[axis]), (p[axis] + 1, c.shape[axis])):
+        d = c.shape[axis]
+        b = math.prod(c.shape[axis + 1 :])
+        view = c.reshape(-1, d, b)
+        p_a, p_b = flat // (d * b), flat % b
+        scaled = _over_pivot(view[p_a, :, p_b], pivot).reshape(1, d, 1)
+        row = view[:, p[axis] : p[axis] + 1]
+        for lo, hi in ((0, p[axis]), (p[axis] + 1, d)):
             if lo == hi:
                 continue
-            slab = c[(slice(None),) * axis + (slice(lo, hi),)]
-            shape[axis] = hi - lo
-            fibre = scaled_fiber[lo:hi].reshape(shape)
-            if slab.size <= _PIECE:
-                yield axis, slab, fibre, row, fiber_at
-            else:
-                yield from _cut(axis, p, slab, fibre, row)
-
-
-def _cut(axis: int, p: tuple, slab: np.ndarray, fibre: np.ndarray, row: np.ndarray):
-    """`_pieces` of one off-pivot slab of more than `_PIECE` entries.
-
-    The cut depth d is the first whose trailing entries, prod(shape[d+1:]),
-    number at most `_PIECE`; a piece fixes the indices before d and takes
-    a run of as many indices along d as keeps it within `_PIECE` entries.
-    Fibre and row are broadcast to the slab's shape and cut the same way,
-    so each residual entry sees the operands it would in the whole slab.
-    """
-    shape = slab.shape
-    depth = 0
-    while math.prod(shape[depth + 1 :]) > _PIECE:
-        depth += 1
-    step = _PIECE // math.prod(shape[depth + 1 :])
-    fibre = np.broadcast_to(fibre, shape)
-    row = np.broadcast_to(row, shape)
-    tail = (p[:axis] + (slice(None),) + p[axis + 1 :])[depth + 1 :]  # the fibre past the depth
-    for lead in np.ndindex(*shape[:depth]):
-        # slab indices off the axis are the tensor's; the fibre through p
-        # takes every index along the axis and p's everywhere else
-        on_fibre = all(i == p[k] for k, i in enumerate(lead) if k != axis)
-        for start in range(0, shape[depth], step):
-            at = lead + (slice(start, start + step),)
-            fibre_at = None
-            if on_fibre and depth == axis:
-                fibre_at = (slice(None),) + tail
-            elif on_fibre and start <= p[depth] < start + step:
-                fibre_at = (p[depth] - start,) + tail
-            yield axis, slab[at], fibre[at], row[at], fibre_at
+            slab, fibre, h = view[:, lo:hi], scaled[:, lo:hi], hi - lo
+            # run lengths along A, h and B: whole (h, B) planes while one
+            # fits, else whole B rows, else runs of B
+            sa, sh, sb = max(1, _PIECE // (h * b)), min(h, max(1, _PIECE // b)), min(b, _PIECE)
+            for i in range(0, len(view), sa):
+                for j in range(0, h, sh):
+                    for k in range(0, b, sb):
+                        at = (slice(i, i + sa), slice(j, j + sh), slice(k, k + sb))
+                        on_fibre = i <= p_a < i + sa and k <= p_b < k + sb
+                        fibre_at = (p_a - i, slice(None), p_b - k) if on_fibre else None
+                        yield axis, slab[at], fibre[:, at[1]], row[at[0], :, at[2]], fibre_at
 
 
 def _second_pivots(pieces, residual: np.ndarray, magnitude: np.ndarray, seconds: list) -> None:

@@ -86,7 +86,9 @@ class PhaseSolution:
     For every entry above the zero cutoff, alpha_i + beta_j matches the
     entry's argument modulo 2*pi, and mags_a[i] * mags_b[j] matches the
     entry's magnitude.  `d` is the squared-up working dimension,
-    max(live rows, live columns).
+    max(live rows, live columns), and `c` is `phase_constant` at the
+    largest entry, within rounding of the constant the test checked, not
+    bit for bit equal to it.
     """
 
     d: int
@@ -150,7 +152,10 @@ def phase_constant(
     the squared-up nonzero support.  `ref` indexes the original matrix
     and must name an entry above the zero cutoff; default is the entry of
     largest magnitude.  On a factorizable phase grid the result does not
-    depend on the reference choice.
+    depend on the reference choice.  It equals the constant
+    `magnitude_phase_test` checks the identity against within rounding
+    (`_PHASE_ROUNDING`), not bit for bit: the two add the sums in
+    different orders.
     """
     _require_bipartite(t)
     return _phase_constant(t, _support(t, tol), ref)[0]
@@ -171,12 +176,14 @@ def _phase_constant(t: CoeffTensor, support, ref) -> Tuple[float, int]:
 
     row = _arguments(c[i, live_cols], mags[i, live_cols] <= cutoff)
     col = _arguments(c[live_rows, j], mags[live_rows, j] <= cutoff)
-    # Only the reference row and column sums are needed, each added in
-    # the order of the squared-up d x d grid, so that the constant is
-    # the same to the bit: the grid put d - m' copies of the largest
-    # entry's row below the live rows (or d - n' copies of its column
-    # right of the live columns), and summed a row pairwise, a column
-    # row after row.  That is O(d) work, not a second grid.
+    # Only the reference row and column sums are needed, over the live
+    # support squared up with d - m' copies of the largest entry's row
+    # below the live rows (or d - n' copies of its column right of the
+    # live columns): the row summed pairwise, the column row after row.
+    # That is O(d) work, not a second grid.  The test adds its column
+    # sums as a balanced tree (`_column_sums`) and the copies as one
+    # multiple, so the two constants agree within `_PHASE_ROUNDING`
+    # times the reference entry's sums, not to the bit.
     if m2 < n2:
         col = np.append(col, np.full(d - m2, arg(ti, j)))
     elif n2 < m2:

@@ -54,6 +54,32 @@ from .phase import magnitude_phase_test
 
 REPORT_VERSION = 2
 
+# A factorized verdict whose factors rebuild c with a residual above
+# max|c| * (_RECONSTRUCTION_K * max(eps_mag, eps_rank) + r *
+# _RECONSTRUCTION_ROUNDING) is an error.  Each route to "factorized"
+# rebuilds c closer than the first term:
+# - the multi-sum passes an entry when |c S^(r-1) - prod_k P_k| is at most
+#   eps_mag * max(max|c| |S|^(r-1), |lhs|, |rhs|); with |rhs| <= |lhs| +
+#   that residual, its factors rebuild each entry within eps_mag / (1 -
+#   eps_mag) * max|c|, under 2 eps_mag * max|c| for eps_mag <= 1/2, and
+#   `sum_test`'s bound, eps_mag * max(max|c|**2, |lhs|, |rhs|), does the
+#   same over |S| wherever |S| >= max|c|; where |S| is smaller its bound
+#   and its rounding grow by max|c| / |S|, so a product whose sums nearly
+#   cancel may fail closed here;
+# - mag-phase checks its own factors within 10 * eps_mag * max|c|;
+# - the oracle's pivot factors G = f_1 (x) (f_2/c[p]) (x) ... leave
+#   c - G = R_1 + (f_1/c[p]) (x) R_2|_(i_1 = p_1) + ..., the elimination
+#   residuals of r' - 1 unfoldings spread by fibres over c[p] of modulus
+#   at most 1, each entry at most eps_rank * max|c| by the pivot cutoff,
+#   where r' <= 26 counts the parties of dimension >= 2 (2**26 entries at
+#   most); the rank-1 screen certifies eps_rank / 8.
+# So 32 covers every route.  Normalizing each factor (a real and a
+# complex quotient), the constant (two products) and the rebuilt entry
+# (one product) round within about 8 eps per party, relative to entries
+# of at most (1 + 32 max(eps_mag, eps_rank)) max|c|; 16 eps is allowed.
+_RECONSTRUCTION_K = 32
+_RECONSTRUCTION_ROUNDING = 16 * float(np.finfo(float).eps)
+
 METHODS = ("auto", "sum", "phase", "multi", "oracle")
 
 
@@ -193,7 +219,15 @@ def _finalize(report, verdict, t):
             factors = _oracle_factor_extraction(t)
         normalized = normalize_factors(factors)
         report.factors = normalized
-        report.reconstruction_residual = _reconstruction_residual(normalized, t.array)
+        residual = report.reconstruction_residual = _reconstruction_residual(normalized, t.array)
+        tol = report.tolerances
+        eps = _RECONSTRUCTION_K * max(tol.eps_mag, tol.eps_rank)
+        bound = t.max_abs * (eps + t.party_count * _RECONSTRUCTION_ROUNDING)
+        if report.error is None and not residual <= bound:
+            report.error = (
+                f"factors from {verdict.decided_by!r} reconstruct with residual "
+                f"{residual!r} > bound {bound!r}"
+            )
 
 
 def _reconstruction_residual(normalized, c) -> float:
