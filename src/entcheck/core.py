@@ -10,22 +10,26 @@ of the largest (the rank oracle's pivot), come from the one slab walk
 that also checks the input at construction (`CoeffTensor._range`): the
 zero tensor has max |c| = 0, and a NaN, an infinite entry or a modulus
 that overflows makes max |c| non-finite.  Its total and per-party sums
-are formed on first use (`CoeffTensor._sums`).  A copy with one line
-negated (`CoeffTensor._line_negated`, the sign-flip stage's) takes its
-parent's `_range`, which negation keeps.
+(`CoeffTensor._sums`) and its norm are formed on first use.  A copy
+with one line negated (`CoeffTensor._line_negated`, the sign-flip
+stage's) takes its parent's `_range`, which negation keeps.
 
 Full-size passes go through one slab walk, `_slab_walk`: the tensor in
 row-major slabs of about `_SLAB` = 2**14 entries, each with the matching
 slab of an outer product of per-party vectors.  The sum criteria and the
 reconstruction residual build their temporaries one slab at a time, so
 they stay a fraction of the input and a check can stop at the first
-slab that fails it.  The walk forms the product of the leading parties'
-vectors once and, per slab, multiplies the trailing parties' vectors
-into its run of that lead product in long loops; each entry is the
-chain of multiplications of reduce(np.multiply.outer, vectors), so the
-outer products are bit-identical to the full-size one.  The
-reconstruction checks of the pipeline and of the magnitude/phase test
-share one such walk, `_outer_residual`.
+slab that fails it.  A walk with vectors yields its first leading index
+(one row of a matrix) as a slab of its own: the criteria are per-entry
+identities, so a generic entangled input is decided there, from a few
+hundred entries rather than 2**14.  The walk forms the product of the
+leading parties' vectors once and, per slab, multiplies the trailing
+parties' vectors into its run of that lead product in long loops; each
+entry is the chain of multiplications of reduce(np.multiply.outer,
+vectors), wherever the slabs are cut, so the outer products are
+bit-identical to the full-size one.  The reconstruction checks of the
+pipeline and of the magnitude/phase test share one such walk,
+`_outer_residual`.
 """
 
 from __future__ import annotations
@@ -99,9 +103,9 @@ class CoeffTensor:
     The zero tensor does not describe a state and is rejected, and so is
     any NaN or infinite entry, or one whose modulus overflows.
 
-    The array is read-only, so the facts every criterion reads are
-    computed once and kept: `_range` by the checks at construction,
-    `_sums` on first use.
+    The array is read-only, so the facts every criterion and report
+    read are computed once and kept: `_range` by the checks at
+    construction, `_sums` and `norm` on first use.
     """
 
     def __init__(self, entries):
@@ -163,7 +167,7 @@ class CoeffTensor:
             v.setflags(write=False)
         return self._array.sum(), partials
 
-    @property
+    @cached_property
     def norm(self) -> float:
         with np.errstate(over="ignore", under="ignore"):
             return float(np.ldexp(*_norm_and_exponent(self._array)))
@@ -285,6 +289,14 @@ def _slab_walk(c: np.ndarray, vectors=()):
     `outer` is the same slab of reduce(np.multiply.outer, vectors), or
     None without vectors.
 
+    With vectors the first leading index is a slab of its own, and the
+    runs of `_SLAB` // widths[k] indices start after it.  Every check
+    that walks with vectors is a per-entry identity that stops at its
+    first failing slab, so a generic entangled input is decided from
+    its first widths[k] entries (one row of a matrix).  The walks
+    without vectors (`_abs_range`, the per-line passes) read every slab,
+    and keep the plain runs.
+
     The lead product, of the first k vectors, is formed once.  Each
     slab's outer product starts from the slab's run of it and multiplies
     in the trailing vectors one by one (`_outer_rows`), so every entry is
@@ -302,11 +314,13 @@ def _slab_walk(c: np.ndarray, vectors=()):
     blocks = c.reshape((-1,) + tail)
     step = max(1, _SLAB // widths[k])
     lead = _outer_rows(vectors[0], vectors[1:k]) if vectors else None
-    for i in range(0, blocks.shape[0], step):
-        block = blocks[i : i + step]
+    rows = blocks.shape[0]
+    cuts = [0, *range(1 if vectors else step, rows, step), rows]
+    for i, j in zip(cuts, cuts[1:]):
+        block = blocks[i:j]
         outer = None
         if lead is not None:
-            run = lead[i : i + step]
+            run = lead[i:j]
             outer = _outer_rows(run, vectors[k:], len(run) == len(lead)).reshape(block.shape)
         yield i * widths[k], block, outer
 

@@ -8,7 +8,8 @@ here; the pipeline escalates straight to the unfolding-rank oracle.
 
 The check runs slab by slab on the core slab walk and stops at the
 first violating slab, so a random tensor is decided from its first
-2**14 entries and no temporary is the size of the tensor.
+slab, one index of its leading parties (256 entries of a 2**18 qubit
+tensor), and no temporary is the size of the tensor.
 """
 
 from __future__ import annotations

@@ -204,11 +204,16 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     modulo 2*pi / d, so that check is what makes the test exact.
     """
     _require_bipartite(t)
-    return _magnitude_phase_test(t, tol, _support(t, tol))
+    return _magnitude_phase_test(t, tol)
 
 
-def _magnitude_phase_test(t: CoeffTensor, tol: Tolerances, support) -> Verdict:
-    """`magnitude_phase_test` on `_support`'s tuple for `t`."""
+def _magnitude_phase_test(t: CoeffTensor, tol: Tolerances, support=None) -> Verdict:
+    """`magnitude_phase_test` on `_support`'s tuple for `t`, formed here
+    when not given.  Formed here, the full-size |c| is freed before the
+    reconstruction walk; a caller's argument would hold it through the
+    call on Python 3.10, where the caller's frame keeps its arguments."""
+    if support is None:
+        support = _support(t, tol)
     c = t.array
     n = c.shape[1]
     mags, cutoff, live_rows, live_cols, (ri, rj) = support
@@ -252,7 +257,7 @@ def _magnitude_phase_test(t: CoeffTensor, tol: Tolerances, support) -> Verdict:
                 return _entangled(_witness(c, offset, bad, dist), "phase condition violated")
             del bound, bad
         del sums, x, dist  # before the next slab's are made
-    del args  # nor does the reconstruction need it
+    del args, mags, support  # nor does the reconstruction need the grids
 
     # Reconstruct factors: magnitudes from the sums, phases anchored at
     # the reference row and column.

@@ -48,7 +48,9 @@ from .core import _SLAB  # noqa: F401
 from .multipartite import multiparty_sum_test
 from .oracle import _pivot_factors, _rank_one_screen, unfolding_ranks
 # Not called here any more; the benchmark's tracer (perfbench/spans.py)
-# still counts calls at `pipeline.unfold`, so the name stays importable.
+# still counts calls at `pipeline.unfold`, and
+# tests/test_linear_kernels.py::test_oracle_factors_are_pivot_fibres
+# patches it with raising=True, so the name stays importable.
 from .oracle import unfold  # noqa: F401
 from .phase import magnitude_phase_test
 
@@ -263,35 +265,41 @@ def analyze(
         report.error = f"method {method!r} needs a bipartite input, got {r} parties"
         return report
 
-    verdict = None
-    if method == "auto" and r == 2:
-        verdict = _run_stage(report, "sum", sum_test, t, tol)
-        if verdict.is_inconclusive:
-            verdict = _run_stage(report, "sign-flip", sign_flip_recover, t, tol)
-        if verdict.is_inconclusive:
+    # Every stage turns a value that over- or underflows into an
+    # inconclusive verdict, an error or a failed reconstruction bound,
+    # so numpy's warnings for it are noise on the caller's stderr.  The
+    # oracle's helper thread runs in a copy of this context and inherits
+    # the setting.
+    with np.errstate(all="ignore"):
+        verdict = None
+        if method == "auto" and r == 2:
+            verdict = _run_stage(report, "sum", sum_test, t, tol)
+            if verdict.is_inconclusive:
+                verdict = _run_stage(report, "sign-flip", sign_flip_recover, t, tol)
+            if verdict.is_inconclusive:
+                verdict = _run_stage(report, "mag-phase", magnitude_phase_test, t, tol)
+        elif method in ("auto", "multi"):
+            verdict = _run_stage(report, "multi-sum", multiparty_sum_test, t, tol)
+        elif method == "sum":
+            verdict = _run_stage(report, "sum", sum_test, t, tol)
+        elif method == "phase":
             verdict = _run_stage(report, "mag-phase", magnitude_phase_test, t, tol)
-    elif method in ("auto", "multi"):
-        verdict = _run_stage(report, "multi-sum", multiparty_sum_test, t, tol)
-    elif method == "sum":
-        verdict = _run_stage(report, "sum", sum_test, t, tol)
-    elif method == "phase":
-        verdict = _run_stage(report, "mag-phase", magnitude_phase_test, t, tol)
 
-    if verdict is not None and verdict.is_inconclusive and method != "auto":
-        report.error = f"forced method {method!r} is inconclusive: {verdict.reason}"
-    elif verdict is None or verdict.is_inconclusive:
-        # forced oracle, or the terminal stage of auto: the oracle decides
-        verdict = _oracle_stage(report, t, tol, screen=True)
-        report.oracle_agrees = True
-    elif oracle_check:
-        oracle_verdict = _oracle_stage(report, t, tol, screen=verdict.is_factorized)
-        report.oracle_agrees = oracle_verdict.outcome is verdict.outcome
-        if not report.oracle_agrees:
-            report.error = (
-                f"criterion {verdict.decided_by!r} says {verdict.outcome.value} "
-                f"but the oracle found {oracle_verdict.reason}"
-            )
-    _finalize(report, verdict, t)
+        if verdict is not None and verdict.is_inconclusive and method != "auto":
+            report.error = f"forced method {method!r} is inconclusive: {verdict.reason}"
+        elif verdict is None or verdict.is_inconclusive:
+            # forced oracle, or the terminal stage of auto: the oracle decides
+            verdict = _oracle_stage(report, t, tol, screen=True)
+            report.oracle_agrees = True
+        elif oracle_check:
+            oracle_verdict = _oracle_stage(report, t, tol, screen=verdict.is_factorized)
+            report.oracle_agrees = oracle_verdict.outcome is verdict.outcome
+            if not report.oracle_agrees:
+                report.error = (
+                    f"criterion {verdict.decided_by!r} says {verdict.outcome.value} "
+                    f"but the oracle found {oracle_verdict.reason}"
+                )
+        _finalize(report, verdict, t)
     return report
 
 
