@@ -17,12 +17,14 @@ sparse -- one record per nonzero entry: r indices then re im.  Indices
        0 0 0   1 0
        1 1 1   1 0
 
-Lines starting with `#` and blank lines are ignored.  Header lines are
-read from the top of the file only: a `dims:` line after the first
-record is a malformed record.  Floats are written with `repr` and read
-with `float`, and the two halves of each entry are stored as the real
-and imaginary doubles without arithmetic, so a dump/load round trip
-preserves every double bit-exactly, signed zeros included.
+`load_state` skips a leading UTF-8 byte-order mark; `loads` takes the
+text as given.  Lines starting with `#` and blank lines are ignored.
+Header lines are read from the top of the file only: a `dims:` line
+after the first record is a malformed record.  Floats are written with
+`repr` and read with `float`, and the two halves of each entry are
+stored as the real and imaginary doubles without arithmetic, so a
+dump/load round trip preserves every double bit-exactly, signed zeros
+included.
 
 Values are converted a block at a time with numpy: the loaders split
 the text `_CHUNK` characters at a time, cutting only at line feeds, and
@@ -40,14 +42,16 @@ line number, whatever the block size.
 A sparse piece takes a byte pass when it is plain: ASCII, no "#", "\\n"
 its only line break (spaces and tabs between fields), and every record
 line r indices of ASCII digits no wider than the largest index in range
-plus two value fields, none out of range or a duplicate.  The pass
-finds the field bounds in numpy, parses the indices a digit column at a
-time and calls `float` only on the value fields.  Any other piece is
-split into tokens and converted with `int` and `float`.  `dumps` writes
-a sparse record's indices from joint label tables of runs of
-consecutive parties, each table at most about twice the square root of
-the entry count.  `repr` (about 1 us a value) and `float` (about 0.3 us)
-on the values remain the floor of the per-value cost.
+plus two value fields, none out of range or a duplicate.  The pass finds
+the field bounds in numpy, parses the indices a digit column at a time
+and calls `float` only on the value fields.  Any other piece is split
+into tokens line by line, by the walk `_lines` that also finds the
+headers and the first malformed record, and converted with `int` and
+`float`.  `dumps` writes a sparse record's indices from joint label
+tables of runs of consecutive parties, each table at most about twice
+the square root of the entry count.  `repr` (about 1 us a value) and
+`float` (about 0.3 us) on the values remain the floor of the per-value
+cost.
 """
 
 from __future__ import annotations
@@ -113,13 +117,6 @@ def _lines(text, start=0, line_no=1):
             line_no += 1
 
 
-def _chunk_rows(chunk):
-    """The tokens of each line of `chunk` that is not blank or a comment:
-    the lines of `_lines`, split, without the offsets and line numbers
-    that would make a sparse load about a fifth slower."""
-    return [row for raw in chunk.splitlines() if (row := raw.split("#", 1)[0].split())]
-
-
 def _split_headers(text, allowed):
     """Headers from the top of the file, and where the body starts as
     (offset, line number): at the first data line that is not an
@@ -178,7 +175,7 @@ def _loads_dense(text):
     n = 0
     for chunk in _chunks(text, body[0]):
         # every line break is whitespace to str.split
-        tokens = chunk.split() if "#" not in chunk else list(chain(*_chunk_rows(chunk)))
+        tokens = (chunk if "#" not in chunk else " ".join(line for _, _, line in _lines(chunk))).split()
         try:
             values = np.fromiter(map(float, tokens), np.float64, len(tokens))
         except ValueError:
@@ -230,7 +227,7 @@ def _sparse_entries(text, body, dims, base):
     for chunk in _chunks(text, body[0]):
         converted = _byte_records(chunk, dims, base, width, seen)
         if converted is None:
-            converted = _convert_records(_chunk_rows(chunk), dims, base, seen)
+            converted = _convert_records([line.split() for _, _, line in _lines(chunk)], dims, base, seen)
         if converted is None:
             _check_records(text, body, dims, base)
         flat, values = converted
@@ -356,7 +353,8 @@ def _check_records(text, body, dims, base):
 
 
 def load_state(path, format: str = "dense") -> CoeffTensor:
-    with open(path, "r", encoding="utf-8") as fh:
+    # "utf-8-sig" skips a leading byte-order mark, as some editors write one
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return loads(fh.read(), format)
 
 

@@ -25,8 +25,11 @@ per-entry tolerances are formed only on a slab where some distance
 exceeds eps_ang.
 
 The support (|c|, the zero cutoff, the live lines and the largest
-entry) is formed once per call: `solve_phases` hands the test's support
-to the phase constant and takes d from there.
+entry) is formed once per call, by `_support` alone, and |c| is freed
+before the call's last walk: the test keeps only the support's lines
+(the cutoff, the live masks, the largest entry, O(m + n)) past its
+identity walk, and `solve_phases` hands those to the phase constant,
+which forms |c| on the reference row, column and entry alone.
 
 The identity fixes each argument only modulo 2*pi / d: the entangled
 grid exp(2*pi*i/3 * [[1, 2, 0], [2, 1, 0], [0, 0, 0]]) satisfies it
@@ -158,24 +161,30 @@ def phase_constant(
     different orders.
     """
     _require_bipartite(t)
-    return _phase_constant(t, _support(t, tol), ref)[0]
+    return _phase_constant(t, _support(t, tol)[1:], ref)[0]
 
 
-def _phase_constant(t: CoeffTensor, support, ref) -> Tuple[float, int]:
-    """(`phase_constant`, squared-up dimension d) from `_support`'s tuple."""
+def _phase_constant(t: CoeffTensor, lines, ref) -> Tuple[float, int]:
+    """(`phase_constant`, squared-up dimension d) from the lines of
+    `_support` (its tuple without |c|).  |c| is formed on the live
+    reference row and column and on single entries only, each indexed
+    out as a contiguous copy, so `np.abs` runs the loop it runs on the
+    whole grid in `_support` (a strided or scalar loop may round
+    differently) and every magnitude compared with the cutoff keeps its
+    bits."""
     c = t.array
-    mags, cutoff, live_rows, live_cols, (ti, tj) = support
+    cutoff, live_rows, live_cols, (ti, tj) = lines
     i, j = (ti, tj) if ref is None else ref
-    if not (0 <= i < c.shape[0] and 0 <= j < c.shape[1] and mags[i, j] > cutoff):
+
+    def args(z):
+        return _arguments(z, np.abs(z) <= cutoff)
+
+    if not (0 <= i < c.shape[0] and 0 <= j < c.shape[1] and np.abs(c[i, [j]])[0] > cutoff):
         raise ValueError(f"reference entry {ref} is zero or outside the nonzero support")
     m2, n2 = int(live_rows.sum()), int(live_cols.sum())
     d = max(m2, n2)
-
-    def arg(row, col):
-        return _arguments(c[row, col : col + 1], mags[row, col : col + 1] <= cutoff)[0]
-
-    row = _arguments(c[i, live_cols], mags[i, live_cols] <= cutoff)
-    col = _arguments(c[live_rows, j], mags[live_rows, j] <= cutoff)
+    row = args(c[i, live_cols])
+    col = args(c[live_rows, j])
     # Only the reference row and column sums are needed, over the live
     # support squared up with d - m' copies of the largest entry's row
     # below the live rows (or d - n' copies of its column right of the
@@ -185,10 +194,11 @@ def _phase_constant(t: CoeffTensor, support, ref) -> Tuple[float, int]:
     # multiple, so the two constants agree within `_PHASE_ROUNDING`
     # times the reference entry's sums, not to the bit.
     if m2 < n2:
-        col = np.append(col, np.full(d - m2, arg(ti, j)))
+        col = np.append(col, np.full(d - m2, args(c[ti, [j]])[0]))
     elif n2 < m2:
-        row = np.append(row, np.full(d - n2, arg(i, tj)))
-    return float((row.sum() + np.add.accumulate(col)[-1] - d * arg(i, j)) % TWO_PI), d
+        row = np.append(row, np.full(d - n2, args(c[i, [tj]])[0]))
+    ref_arg = args(c[i, [j]])[0]
+    return float((row.sum() + np.add.accumulate(col)[-1] - d * ref_arg) % TWO_PI), d
 
 
 def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
@@ -204,19 +214,17 @@ def magnitude_phase_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -
     modulo 2*pi / d, so that check is what makes the test exact.
     """
     _require_bipartite(t)
-    return _magnitude_phase_test(t, tol)
+    return _magnitude_phase_test(t, tol)[0]
 
 
-def _magnitude_phase_test(t: CoeffTensor, tol: Tolerances, support=None) -> Verdict:
-    """`magnitude_phase_test` on `_support`'s tuple for `t`, formed here
-    when not given.  Formed here, the full-size |c| is freed before the
-    reconstruction walk; a caller's argument would hold it through the
-    call on Python 3.10, where the caller's frame keeps its arguments."""
-    if support is None:
-        support = _support(t, tol)
+def _magnitude_phase_test(t: CoeffTensor, tol: Tolerances):
+    """(`magnitude_phase_test`, lines), where lines is `_support`'s tuple
+    without |c|.  |c| is freed before the reconstruction walk, and the
+    lines are O(m + n)."""
     c = t.array
     n = c.shape[1]
-    mags, cutoff, live_rows, live_cols, (ri, rj) = support
+    mags, cutoff, live_rows, live_cols, (ri, rj) = _support(t, tol)
+    lines = (cutoff, live_rows, live_cols, (ri, rj))
     cmax = mags[ri, rj]
 
     # Step 1: magnitude condition.
@@ -225,7 +233,7 @@ def _magnitude_phase_test(t: CoeffTensor, tol: Tolerances, support=None) -> Verd
     col_mag = mags.sum(axis=0)
     witness = _first_sum_violation(mags, (row_mag, col_mag), s, cmax * cmax, tol)
     if witness is not None:
-        return _entangled(witness, "magnitude condition violated")
+        return _entangled(witness, "magnitude condition violated"), lines
 
     # Step 2: phase condition on the live support, with the copies of the
     # reference row or column that square it up folded into the sums.
@@ -254,10 +262,10 @@ def _magnitude_phase_test(t: CoeffTensor, tol: Tolerances, support=None) -> Verd
             bound += _PHASE_ROUNDING * (sums + d * block + ref_size)
             bad = (mags[rows] > cutoff) & (dist > bound)
             if bad.any():
-                return _entangled(_witness(c, offset, bad, dist), "phase condition violated")
+                return _entangled(_witness(c, offset, bad, dist), "phase condition violated"), lines
             del bound, bad
         del sums, x, dist  # before the next slab's are made
-    del args, mags, support  # nor does the reconstruction need the grids
+    del args, mags  # nor does the reconstruction need the grids
 
     # Reconstruct factors: magnitudes from the sums, phases anchored at
     # the reference row and column.
@@ -269,19 +277,18 @@ def _magnitude_phase_test(t: CoeffTensor, tol: Tolerances, support=None) -> Verd
     worst, where = _outer_residual(c, (a, b))
     if worst > 10.0 * tol.eps_mag * cmax:
         witness = Witness(tuple(int(v) for v in divmod(where, n)), worst)
-        return _entangled(witness, "phase grid admits no consistent factor reconstruction")
-    return Verdict(Outcome.FACTORIZED, MAG_PHASE, factors=LocalFactors((a, b)))
+        return _entangled(witness, "phase grid admits no consistent factor reconstruction"), lines
+    return Verdict(Outcome.FACTORIZED, MAG_PHASE, factors=LocalFactors((a, b))), lines
 
 
 def solve_phases(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Optional[PhaseSolution]:
     """PhaseSolution for a factorizable matrix, or None when the test fails."""
     _require_bipartite(t)
-    support = _support(t, tol)
-    verdict = _magnitude_phase_test(t, tol, support)
+    verdict, lines = _magnitude_phase_test(t, tol)
     if not verdict.is_factorized:
         return None
     a, b = verdict.factors.vectors
-    const, d = _phase_constant(t, support, None)
+    const, d = _phase_constant(t, lines, None)
     return PhaseSolution(
         d=d,
         c=const,
