@@ -248,3 +248,28 @@ def test_traced_peak_is_a_few_piece_buffers(dims):
     finally:
         tracemalloc.stop()
     assert peak <= 4e6
+
+
+def test_caller_allocates_every_buffer(monkeypatch):
+    # memory the helper allocated would come from its thread's malloc
+    # arena and stay resident after the thread ends, so the caller
+    # allocates the helper's buffer pair too
+    t = gen_random_state((2,) * 17, 1)
+    caller = threading.get_ident()
+    allocations, workers = [], set()
+    empty, second_pivots = np.empty, oracle._second_pivots
+
+    def counted_empty(*args, **kwargs):
+        allocations.append(_in_helper(caller))
+        return empty(*args, **kwargs)
+
+    def counted_pivots(pieces, *rest):
+        workers.add(_in_helper(caller))
+        return second_pivots(pieces, *rest)
+
+    monkeypatch.setattr(np, "empty", counted_empty)
+    monkeypatch.setattr(oracle, "_second_pivots", counted_pivots)
+    monkeypatch.setattr(oracle, "_usable_cpus", lambda: 2)
+    unfolding_ranks(t)
+    assert workers == {False, True}
+    assert allocations and not any(allocations), allocations
