@@ -21,10 +21,11 @@ One loader, `loads`, reads both: it checks the format, skips one
 leading byte-order mark (U+FEFF), splits the headers the format allows,
 hands the body to the format's converter (`_dense_entries`,
 `_sparse_entries`), rejects the zero tensor and adopts the filled array
-without a copy.  `load_state` decodes its file with "utf-8-sig", which
-strips the mark while decoding: a str holding U+FEFF takes 2 bytes per
-character, so the mark left in would double the text's memory.  `loads`
-skips the mark by offset, not by slicing, which would copy the text.
+without a copy.  `load_state` skips the mark's three bytes before it
+decodes the file as UTF-8: a str holding U+FEFF takes 2 bytes per
+character, so the mark left in would double the text's memory, and the
+"utf-8-sig" codec would decode a copy of the bytes.  `loads` skips the
+mark by offset, not by slicing, which would copy the text.
 Lines starting with `#` and blank lines are ignored.
 Header lines are read from the top of the file only: a `dims:` line
 after the first record is a malformed record.  Floats are written with
@@ -63,6 +64,7 @@ cost.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import math
 import os
@@ -358,11 +360,14 @@ def _check_records(text, body, dims, base):
 
 
 def load_state(path, format: str = "dense") -> CoeffTensor:
-    # "utf-8-sig" drops a leading byte-order mark, as some editors write
-    # one, while decoding: plain "utf-8" would keep U+FEFF in the text,
-    # and a str holding it takes 2 bytes per character, so a marked 256^2
-    # dense file would decode to 5.4 MB instead of 2.7 MB
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    # a leading byte-order mark, as some editors write one, is read off as
+    # bytes: a decoded U+FEFF would make the str take 2 bytes a character,
+    # and "utf-8-sig" decodes a copy of the bytes after it.  `peek`, not
+    # `seek`, so pipes work; a mark a pipe delivers in part is decoded,
+    # and `loads` skips it
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.buffer.peek(3)[:3] == codecs.BOM_UTF8:
+            fh.buffer.read(3)
         return loads(fh.read(), format)
 
 

@@ -15,15 +15,18 @@ rule cuts every unfolding k (`_pieces`): it is the reshape view
 (A, d_k, B) of the row-major tensor, A the joint index of the parties
 before k and B of those after it, and each off-pivot slab (A, h, B) is
 cut into runs of at most `_PIECE` = 2**16 entries along A, or, where
-one index of A holds more, along h and then along B.  So each worker
-needs one residual and one magnitude buffer of at most 2**16 entries,
-whatever the tensor's size.  Above 2**16 entries, with a second CPU
-usable, the caller and one helper thread take pieces from one shared
-iterator until none are left (numpy releases the GIL inside the ufunc
-loops); the helper is joined before the call returns.  Every residual entry is one quotient-product-
-difference-modulus chain on the same operands whichever piece and
-thread forms it, and a maximum does not depend on the order it is taken
-in, so the decision is bit-identical to one pass over the whole tensor.
+one index of A holds more, along h and then along B.  The pieces are
+cut once, on the calling thread, into a list of views (about 0.5 KB a
+piece, some 700 pieces for 2**22 qubits), and each worker needs one
+residual and one magnitude buffer the size of the largest piece, at
+most 2**16 entries, whatever the tensor's size.  Above 2**16 entries,
+with a second CPU usable, the caller and one helper thread pop the
+pieces from one shared deque until it is empty (numpy releases the GIL
+inside the ufunc loops); the helper is joined before the call returns.
+Every residual entry is one quotient-product-difference-modulus chain
+on the same operands whichever piece and thread forms it, and a
+maximum does not depend on the order it is taken in, so the decision
+is bit-identical to one pass over the whole tensor.
 The decision reports a rank of 1, an exact 2 when the unfolding has a
 side of length 2, and ">=2" otherwise; `numeric_rank(unfold(t, k))`
 gives the exact rank.
@@ -50,6 +53,8 @@ random-state generators the property tests are built on.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import contextvars
 import math
 import os
@@ -160,25 +165,27 @@ def unfolding_ranks(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Ran
     (the pivot row is left out, never computed), in pieces of at most
     `_PIECE` entries (`_pieces`), each into a reused flat buffer whose
     magnitudes go into a second one; the pivot column is zeroed in each
+    piece.  Every piece is cut first, here on the calling thread, into
+    a list (about 0.5 KB a piece), and each buffer holds the largest
     piece.  A tensor of more than `_PIECE` entries is worked by the
-    caller and one helper thread when a second CPU is usable
-    (`_two_workers`), otherwise by the caller alone; the caller
-    allocates every buffer pair.  Each entry is formed by the same ufunc
-    calls on the same operands in either case, and the largest magnitude
-    per axis is the same whatever the order of the pieces, so the
-    decision does not depend on the cut or the workers.  For two parties
-    the second unfolding is the transpose of the first and reuses its
-    test.
+    caller and one helper thread popping the pieces from one deque when
+    a second CPU is usable (`_two_workers`), otherwise by the caller
+    alone; the caller allocates every buffer pair.  Each entry is
+    formed by the same ufunc calls on the same operands in either case,
+    and the largest magnitude per axis is the same whatever the order of
+    the pieces, so the decision does not depend on the cut or the
+    workers.  For two parties the second unfolding is the transpose of
+    the first and reuses its test.
     """
     c = t.array
     r = t.party_count
     largest, _, top = t._range
     p = np.unravel_index(top, c.shape)
     axes = range(1 if r == 2 else r)
-    size = min(_PIECE, max(max(p[k], c.shape[k] - 1 - p[k]) * (c.size // c.shape[k]) for k in axes))
-    pieces = _pieces(c, p, axes)
+    pieces = list(_pieces(c, p, axes))
+    size = max((piece[1].size for piece in pieces), default=0)
     if c.size > _PIECE and _usable_cpus() > 1:
-        seconds = _two_workers(pieces, size, c.dtype, len(axes))
+        seconds = _two_workers(collections.deque(pieces), size, c.dtype, len(axes))
     else:
         seconds = [0.0] * len(axes)
         _second_pivots(pieces, np.empty(size, dtype=c.dtype), np.empty(size), seconds)
@@ -249,32 +256,25 @@ def _second_pivots(pieces, residual: np.ndarray, magnitude: np.ndarray, seconds:
         seconds[axis] = max(seconds[axis], block_magnitude.max())
 
 
-def _two_workers(pieces, size: int, dtype, count: int) -> list:
+def _two_workers(pieces: collections.deque, size: int, dtype, count: int) -> list:
     """Largest off-fibre magnitude per axis, from the caller and one
-    helper thread taking `pieces` from one shared iterator.
+    helper thread popping precut `pieces` from one shared deque.
 
-    A shared iterator, not a fixed split, so a helper starved of CPU
-    costs about the serial time, not the caller's wait for it.  The
+    A shared deque, not a fixed split, so a helper starved of CPU costs
+    about the serial time, not the caller's wait for it.  The deque is
+    the only object the two threads share, and its `popleft` and `clear`
+    are thread-safe; each worker pops until the deque is empty.  The
     helper runs in a copy of the caller's context, so numpy's errstate
-    holds in it; it runs only numpy, `core._over_pivot` and this
-    module's private functions, no public entry point that a caller may
-    wrap.  A failure in either worker ends the iteration; the helper is
-    always joined, and its exception is raised again here.  When no
-    thread can be started the caller takes every piece.
+    holds in it.  A failure in either worker empties the deque, which
+    stops the other; the helper is always joined, and its exception is
+    raised again here.  When no thread can be started the caller takes
+    every piece.
     """
-    lock = threading.Lock()
 
     def take():
-        while True:
-            with lock:
-                piece = next(pieces, None)
-            if piece is None:
-                return
-            yield piece
-
-    def stop():
-        with lock:
-            pieces.close()
+        with contextlib.suppress(IndexError):  # the deque is empty
+            while True:
+                yield pieces.popleft()
 
     # both pairs are allocated here, on the calling thread: a pair the
     # helper allocated would come from its thread's malloc arena, which
@@ -289,7 +289,7 @@ def _two_workers(pieces, size: int, dtype, count: int) -> list:
             _second_pivots(take(), *buffers[1], seconds[1])
         except BaseException as exc:  # raised again in the caller after the join
             failed.append(exc)
-            stop()
+            pieces.clear()
 
     thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
     try:
@@ -299,7 +299,7 @@ def _two_workers(pieces, size: int, dtype, count: int) -> list:
     try:
         _second_pivots(take(), *buffers[0], seconds[0])
     finally:
-        stop()
+        pieces.clear()
         if thread is not None:
             thread.join()
     if failed:

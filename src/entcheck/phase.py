@@ -132,12 +132,10 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
     adding row after row, as numpy's axis-0 sum does, is within (m - 1) u.
     The result is an array of its own, never a view of `x`, so a caller
     may add to it in place."""
-    if len(x) == 1:
-        return x[0].copy()
     while len(x) > 1:
         half = len(x) // 2
         x = np.concatenate((x[:half] + x[half : 2 * half], x[2 * half :]))
-    return x[0]
+    return x[0].copy()
 
 
 def _entangled(witness: Witness, reason: str) -> Verdict:
