@@ -25,8 +25,12 @@ every sum product below the cut, and the sign-flip screen skips its
 per-line maxima when the flipped totals already pick the first line or
 a bound from the sums rules the product term out.  A slab of the sum
 criterion whose residuals all sit below eps_mag times the floor skips
-its per-entry bounds.  Each screen only skips work: verdicts, witnesses
-and factors are those of the full passes, bit for bit.
+its per-entry bounds.  Inside `analyze`, a sum criterion on the call's
+own tensor stops after its first leading index once finalisation's
+reconstruction residual certifies that no residual left to walk
+exceeds that value (`_sum_slabs`, `pipeline._Reconstruction`).  Each
+screen and the certificate only skip work: verdicts, witnesses and
+factors are those of the full passes, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _over_pivot, _slab_walk
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _RECONSTRUCTION, _over_pivot, _slab_walk
 
 
 class Outcome(enum.Enum):
@@ -147,7 +151,7 @@ def _witness(c: np.ndarray, offset: int, mask: np.ndarray, values: np.ndarray) -
     return Witness(tuple(int(i) for i in index), float(values.flat[j]))
 
 
-def _sum_slabs(c, partials, power, floor, tol):
+def _sum_slabs(c, partials, power, floor, tol, certify=None):
     """The sum criterion c * power == outer product of the partial sums,
     one slab of `c` at a time.
 
@@ -166,31 +170,72 @@ def _sum_slabs(c, partials, power, floor, tol):
     comparison and takes the full bound.  The residuals are formed
     first, so a slab that takes the bound forms lhs a second time for
     its |lhs|.
+
+    When the head slab (the first leading index) has no violation and
+    the caller walks on, `certify(least)`, least = fl(eps_mag * floor),
+    is asked once whether every residual left to walk is certainly at
+    most least.  If it is, none is a violation, and the walk ends there.
     """
     eps = tol.eps_mag
     least = eps * floor
-    for offset, block, rhs in _slab_walk(c, partials):
+    for n, (offset, block, rhs) in enumerate(_slab_walk(c, partials)):
         lhs = block * power
         lhs -= rhs
         resid = np.abs(lhs)
         if resid.max() <= least:
-            yield offset, block, rhs, resid, np.zeros(resid.shape, dtype=bool)
-            continue
-        # |lhs| from lhs formed again, the same bits, in the spent buffer
-        bound = np.abs(np.multiply(block, power, out=lhs))
-        np.maximum(bound, np.abs(rhs), out=bound)
-        np.maximum(bound, floor, out=bound)
-        bound *= eps
-        yield offset, block, rhs, resid, ~(resid <= bound)
+            viol = np.zeros(resid.shape, dtype=bool)
+        else:
+            # |lhs| from lhs formed again, the same bits, in the spent buffer
+            bound = np.abs(np.multiply(block, power, out=lhs))
+            np.maximum(bound, np.abs(rhs), out=bound)
+            np.maximum(bound, floor, out=bound)
+            bound *= eps
+            viol = ~(resid <= bound)
+        yield offset, block, rhs, resid, viol
+        if n == 0 and certify is not None and not viol.any() and certify(least):
+            return
 
 
-def _first_sum_violation(c, partials, power, floor, tol) -> Optional[Witness]:
+def _first_sum_violation(c, partials, power, floor, tol, certify=None) -> Optional[Witness]:
     """Witness at the first violation of the sum criterion in row-major
-    order, or None; stops at the first slab that has one."""
-    for offset, _, _, resid, viol in _sum_slabs(c, partials, power, floor, tol):
+    order, or None; stops at the first slab that has one, or where
+    `certify` ends the walk (`_sum_slabs`)."""
+    for offset, _, _, resid, viol in _sum_slabs(c, partials, power, floor, tol, certify):
         if viol.any():
             return _witness(c, offset, viol, resid)
     return None
+
+
+def _offer(t: CoeffTensor, build, power) -> tuple:
+    """(certify, factors) for a sum criterion on `t` with power S^(r-1).
+
+    `factors()` gives `build()`, the criterion's factors or None where
+    it has none; the criterion calls it once, after its walk, and inside
+    `analyze` it builds them only if `certify` has not.  `certify` is the
+    walk's hook
+    (`_sum_slabs`).  It offers those factors to the reconstruction of
+    the `analyze` call in progress (`core._RECONSTRUCTION`), which keeps
+    them, and says whether their reconstruction residual certifies the
+    rest of the walk.  It is None outside `analyze` and on any tensor but
+    the call's own (sign-flip's negated copy), so those walks run in
+    full.  The criterion returns the very factors it offered, and that is
+    how finalisation knows it may reuse their reconstruction.
+    """
+    rec = _RECONSTRUCTION.get()
+    if rec is None or rec.tensor is not t:
+        return None, build
+    made = []
+
+    def factors():
+        if not made:
+            made.append(build())
+        return made[0]
+
+    def certify(least):
+        offered = factors()
+        return offered is not None and rec.certifies(offered, power, least)
+
+    return certify, factors
 
 
 # Relative slack of the tier screen in `sum_test`.  The screen bounds
@@ -235,7 +280,10 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     The matrix is walked in slabs.  When no entry and no sum product can
     vanish, tiers 1 and 2 are empty and the walk stops at the first
     violating slab; otherwise it goes on, keeping the first index of each
-    tier, until a tier-1 index turns up or the matrix ends.
+    tier, until a tier-1 index turns up or the matrix ends.  Inside
+    `analyze` a product stops after its first row instead, once the
+    reconstruction residual of its factors certifies the rest
+    (`_offer`); the verdict and factors are those of the full walk.
     """
     _require_bipartite(t)
     c = t.array
@@ -269,8 +317,9 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     prod_cut = tol.eps_mag * cmax * cmax
     least_prod = float(np.abs(rows).min()) * float(np.abs(cols).min())
     screened = cmin > entry_cut and least_prod > max(prod_cut, _TINY) * _SCREEN_SLACK
+    certify, factors = _offer(t, lambda: extract_local_factors(t), total)
     found = {}
-    for offset, block, prods, resid, viol in _sum_slabs(c, (rows, cols), total, scale, tol):
+    for offset, block, prods, resid, viol in _sum_slabs(c, (rows, cols), total, scale, tol, certify):
         if not viol.any():
             continue
         if screened:
@@ -285,7 +334,7 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
                 found[tier] = _witness(c, offset, mask, resid)
     if found:
         return Verdict(Outcome.ENTANGLED, SUM, witness=found[min(found)])
-    return Verdict(Outcome.FACTORIZED, SUM, factors=extract_local_factors(t))
+    return Verdict(Outcome.FACTORIZED, SUM, factors=factors())
 
 
 def vanishing_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:

@@ -29,11 +29,22 @@ entry is the chain of multiplications of reduce(np.multiply.outer,
 vectors), wherever the slabs are cut, so the outer products are
 bit-identical to the full-size one.  The reconstruction checks of the
 pipeline and of the magnitude/phase test share one such walk,
-`_outer_residual`.
+`_outer_residual`, which forms each slab's residuals in its outer
+product's buffer.
+
+`_RECONSTRUCTION` holds the reconstruction of the one tensor an
+`analyze` call decides (`pipeline._Reconstruction`), set for the length
+of the call and None outside it.  A sum criterion walking that tensor
+offers it its factors once its first leading index passes; when the
+reconstruction residual finalisation needs anyway bounds every residual
+left to walk below the walk's least bound, the walk stops there, with
+the verdict and factors of the full walk.  Nothing is kept on the
+tensor, so each call does the same work.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +71,9 @@ _SLAB = 1 << 14
 # they replace.
 _SHORT = 4
 _LONG = 256
+
+# The reconstruction of the `analyze` call in progress, or None.
+_RECONSTRUCTION = contextvars.ContextVar("entcheck_reconstruction", default=None)
 
 
 @dataclass(frozen=True)
@@ -349,12 +363,18 @@ def _outer_residual(c: np.ndarray, vectors, scale=None) -> tuple:
     its first occurrence), one slab at a time; no scale means 1.
 
     Each slab's outer product is the one of `_slab_walk`, and the scale is
-    applied last, so every residual is bit-identical to the full-size
-    formula.  A NaN residual is the maximum, as it is for `np.max`.
+    applied last, as `scale * outer` (with fused multiply-adds `outer *
+    scale` rounds differently), so every residual is bit-identical to the
+    full-size formula.  The scale and the difference go into the outer
+    product's own buffer, so a slab's one other temporary is its real
+    |residual|.  A NaN residual is the maximum, as it is for `np.max`.
     """
     worst, where = -1.0, 0
     for offset, block, outer in _slab_walk(c, vectors):
-        resid = np.abs((outer if scale is None else scale * outer) - block)
+        if scale is not None:
+            np.multiply(scale, outer, out=outer)
+        np.subtract(outer, block, out=outer)
+        resid = np.abs(outer)
         k = int(resid.argmax())  # the first NaN, if there is one
         if not resid.flat[k] <= worst:
             worst, where = float(resid.flat[k]), offset + k

@@ -9,7 +9,9 @@ here; the pipeline escalates straight to the unfolding-rank oracle.
 The check runs slab by slab on the core slab walk and stops at the
 first violating slab, so a random tensor is decided from its first
 slab, one index of its leading parties (256 entries of a 2**18 qubit
-tensor), and no temporary is the size of the tensor.
+tensor), and no temporary is the size of the tensor.  Inside `analyze`
+a product stops after that first slab instead, once the reconstruction
+residual of its factors certifies the rest (`bipartite._offer`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .bipartite import (
     Outcome,
     Verdict,
     _first_sum_violation,
+    _offer,
 )
 from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances
 
@@ -33,7 +36,10 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
     coefficient); otherwise every multi-index either certifies
     entanglement with a concrete witness or, collectively, yields the
     factor vectors.  Inconclusive too when S^(r-1) under- or overflows
-    so that a factor is not finite or is the zero vector.
+    so that a factor is not finite or is the zero vector.  The factors
+    are formed once, when the first slab passes, and offered to the
+    reconstruction of the `analyze` call in progress, which may end the
+    walk there with this same verdict (`bipartite._offer`).
     """
     c = t.array
     r = t.party_count
@@ -48,20 +54,29 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
 
     power = total ** (r - 1)
     scale = cmax * abs(total) ** (r - 1)
-    witness = _first_sum_violation(c, partials, power, scale, tol)
+    certify, built = _offer(t, lambda: _sum_factors(partials, power), power)
+    witness = _first_sum_violation(c, partials, power, scale, tol, certify)
     if witness is not None:
         return Verdict(Outcome.ENTANGLED, MULTI_SUM, witness=witness)
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vectors = (partials[0] / power, *partials[1:])
-    if not all(np.isfinite(v).all() and v.any() for v in vectors):
+    factors = built()
+    if factors is None:
         return Verdict(
             Outcome.INCONCLUSIVE,
             MULTI_SUM,
             reason=f"total sum ** {r - 1} is out of range ({complex(power)}); "
             "escalate to the rank oracle",
         )
-    return Verdict(Outcome.FACTORIZED, MULTI_SUM, factors=LocalFactors(vectors))
+    return Verdict(Outcome.FACTORIZED, MULTI_SUM, factors=factors)
+
+
+def _sum_factors(partials, power):
+    """The factors (P_1 / S^(r-1), P_2, ..., P_r), or None when one is not
+    finite or is the zero vector."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vectors = (partials[0] / power, *partials[1:])
+    if not all(np.isfinite(v).all() and v.any() for v in vectors):
+        return None
+    return LocalFactors(vectors)
 
 
 def reconstruct(f: LocalFactors) -> CoeffTensor:

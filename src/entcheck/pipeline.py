@@ -16,10 +16,22 @@ cross-check stays independent: a criterion that wrongly says
 verdicts and 2-party inputs go straight to `unfolding_ranks`, so their
 `oracle_pivot_ratio` is always the exact one; a screened product reports
 the screen's upper bound.
+
+Each call holds one `_Reconstruction` of its tensor, reached by the sum
+criteria through `core._RECONSTRUCTION` for the length of the call.  A
+criterion whose first leading index passes offers it its factors; they
+are normalized and their reconstruction residual walked there, as
+finalisation would, and when that residual certifies the rest of the
+criterion's walk (`_CERTIFICATE_ROUNDING`) the walk stops.  Finalisation
+takes the normalized factors and the residual from it, so a product is
+walked twice (reconstruction and oracle), not three times.  The
+certificate never reads the oracle's numbers, nor the oracle the
+criterion's.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -39,6 +51,7 @@ from .core import (
     CoeffTensor,
     DEFAULT_TOLERANCES,
     Tolerances,
+    _RECONSTRUCTION,
     _ldexp,
     _norm_and_exponent,
     _outer_residual,
@@ -81,6 +94,47 @@ REPORT_VERSION = 2
 # of at most (1 + 32 max(eps_mag, eps_rank)) max|c|; 16 eps is allowed.
 _RECONSTRUCTION_K = 32
 _RECONSTRUCTION_ROUNDING = 16 * float(np.finfo(float).eps)
+
+# Inside `analyze` a sum criterion stops after its head slab when the
+# reconstruction residual d = max|scale * (x)_k w_k - c| of the factors
+# a_k it would return (units w_k and scale from `normalize_factors`)
+# proves every residual left to walk at most least = fl(eps_mag * floor),
+# the value under which `bipartite._sum_slabs` skips its bounds.  None of
+# them is a violation then, so the verdict and the factors are those of
+# the full walk.  With u = 2**-53, P = |power| (|S| for `sum_test`,
+# |S|^(r-1) for the multi-sum) and no result overflowing or subnormal:
+# - the walk's residual at x is |fl(fl(c_x power) - fl(prod_k P_k[x_k]))|:
+#   the lhs product is within sqrt(5)u < 3u of c_x power, the chain of
+#   r - 1 products within 3(r - 1)u of prod_k P_k[x_k], and the
+#   difference and the modulus add u each;
+# - a_1 = P_1 / power within 10u (Smith's quotient, as for the oracle's
+#   screen; `_over_pivot` scales by an exact power of two) and a_k = P_k
+#   for k >= 2, so prod_k P_k = power * prod_k a_k within 10u.  Lhs and
+#   a_1 use the same computed power, so its own rounding does not enter;
+# - `normalize_factors` divides each a_k by a norm and a phase (u and
+#   10u) and multiplies both into the scale (u and 3u), and the
+#   reconstruction forms r - 1 products and the scale's (3u each).  The
+#   norm and the phase cancel up to that rounding, however accurate the
+#   norm is, so the rebuilt entry is prod_k a_k within 18ru, and it is
+#   within d (1 + 3u) of c_x;
+# - so |prod_k a_k| <= max|c| + d bounds the rhs, and the walk's residual
+#   is at most P d (1 + 8u) + (21r + 12)u P (2 max|c| + d), under
+#   P d (1 + 8u) + 32ru P (2 max|c| + d) for r >= 2.
+# 64ru is allowed, and the factors (1 + 16u) and (1 - 16u) of the test
+# take in its own rounding.  A subnormal result loses up to 2**-1074,
+# and later products amplify the loss.  Let M = max(1, N max|c|) for N
+# entries: every partial sum, |S| and so |power|**(1/(r-1)) are at most
+# M, so every prefix of the walk's chain and |lhs| are at most G = M^r,
+# and P |scale| is at most sqrt(N) G.  The losses of the walk and of the
+# reconstruction then stay under 2**-1053 G, and a_1's under 2**-1074 P
+# M^(r-1).  So the certificate also asks G <= 2**1000 (nothing
+# overflows) and least >= 2**-990 (G + P M^(r-1)) (the losses stay under
+# 2**-60 least).  It declines, and the walk goes on, outside max|c| in
+# [2**-400, 2**400], for a zero or non-finite power, for a factor that
+# is zero or not finite (its residual is NaN) and on any tensor but the
+# call's own.
+_CERTIFICATE_ROUNDING = 32 * float(np.finfo(float).eps)
+_CERTIFICATE_SLACK = 8 * float(np.finfo(float).eps)
 
 METHODS = ("auto", "sum", "phase", "multi", "oracle")
 
@@ -165,6 +219,42 @@ def normalize_factors(factors: LocalFactors) -> NormalizedFactors:
     return NormalizedFactors(tuple(units), scale)
 
 
+class _Reconstruction:
+    """Finalisation's reconstruction for the tensor of one `analyze` call.
+
+    A sum criterion on `tensor` offers it the factors it would return
+    once its first leading index passes (`bipartite._offer`).  Those
+    factors are normalized and walked here, as `_finalize` would, and
+    kept with their residual, whether or not the certificate holds, so
+    no route normalizes or walks the reconstruction twice.
+    """
+
+    def __init__(self, t: CoeffTensor):
+        self.tensor = t
+        self.factors = self.normalized = self.residual = None
+
+    def certifies(self, factors: LocalFactors, power, least) -> bool:
+        """Whether the reconstruction residual of `factors` proves every
+        residual of the sum criterion c * power == prod_k P_k at most
+        `least` (`_CERTIFICATE_ROUNDING`)."""
+        t = self.tensor
+        cmax, r = t.max_abs, t.party_count
+        p = abs(power)
+        e = max(0, math.frexp(t.entry_count * cmax)[1])  # M <= 2**e
+        if not (
+            2.0**-400 <= cmax <= 2.0**400
+            and 0.0 < p < math.inf
+            and r * e <= 1000
+            and least >= math.ldexp(1.0, r * e - 990) + math.ldexp(p, (r - 1) * e - 990)
+        ):
+            return False
+        self.factors = factors
+        self.normalized = normalize_factors(factors)
+        d = self.residual = _reconstruction_residual(self.normalized, t.array)
+        rounding = r * _CERTIFICATE_ROUNDING * p * (2 * cmax + d)
+        return p * d * (1 + _CERTIFICATE_SLACK) + rounding <= least * (1 - _CERTIFICATE_SLACK)
+
+
 def _oracle_factor_extraction(t: CoeffTensor) -> LocalFactors:
     """Factors for a tensor the oracle certified rank-1: the fibres
     through the oracle's pivot (`oracle._pivot_factors`)."""
@@ -208,7 +298,12 @@ def _oracle_stage(report, t, tol, screen):
     return verdict
 
 
-def _finalize(report, verdict, t):
+def _finalize(report, verdict, t, rec):
+    """Copy the verdict into the report; for a factorized one, normalize
+    its factors and check their reconstruction residual against the
+    bound.  Factors the criterion offered to `rec`, the call's
+    `_Reconstruction`, are normalized and walked there already, and
+    their normalization and residual are taken from it."""
     report.verdict = verdict.outcome
     report.decided_by = verdict.decided_by
     report.reason = verdict.reason
@@ -219,9 +314,13 @@ def _finalize(report, verdict, t):
         factors = verdict.factors
         if factors is None:
             factors = _oracle_factor_extraction(t)
-        normalized = normalize_factors(factors)
+        if factors is rec.factors:
+            normalized, residual = rec.normalized, rec.residual
+        else:
+            normalized = normalize_factors(factors)
+            residual = _reconstruction_residual(normalized, t.array)
         report.factors = normalized
-        residual = report.reconstruction_residual = _reconstruction_residual(normalized, t.array)
+        report.reconstruction_residual = residual
         tol = report.tolerances
         eps = _RECONSTRUCTION_K * max(tol.eps_mag, tol.eps_rank)
         bound = t.max_abs * (eps + t.party_count * _RECONSTRUCTION_ROUNDING)
@@ -269,37 +368,43 @@ def analyze(
     # inconclusive verdict, an error or a failed reconstruction bound,
     # so numpy's warnings for it are noise on the caller's stderr.  The
     # oracle's helper thread runs in a copy of this context and inherits
-    # the setting.
-    with np.errstate(all="ignore"):
-        verdict = None
-        if method == "auto" and r == 2:
-            verdict = _run_stage(report, "sum", sum_test, t, tol)
-            if verdict.is_inconclusive:
-                verdict = _run_stage(report, "sign-flip", sign_flip_recover, t, tol)
-            if verdict.is_inconclusive:
+    # the setting.  The sum criteria reach this call's reconstruction
+    # through `core._RECONSTRUCTION`, set for the call only.
+    rec = _Reconstruction(t)
+    token = _RECONSTRUCTION.set(rec)
+    try:
+        with np.errstate(all="ignore"):
+            verdict = None
+            if method == "auto" and r == 2:
+                verdict = _run_stage(report, "sum", sum_test, t, tol)
+                if verdict.is_inconclusive:
+                    verdict = _run_stage(report, "sign-flip", sign_flip_recover, t, tol)
+                if verdict.is_inconclusive:
+                    verdict = _run_stage(report, "mag-phase", magnitude_phase_test, t, tol)
+            elif method in ("auto", "multi"):
+                verdict = _run_stage(report, "multi-sum", multiparty_sum_test, t, tol)
+            elif method == "sum":
+                verdict = _run_stage(report, "sum", sum_test, t, tol)
+            elif method == "phase":
                 verdict = _run_stage(report, "mag-phase", magnitude_phase_test, t, tol)
-        elif method in ("auto", "multi"):
-            verdict = _run_stage(report, "multi-sum", multiparty_sum_test, t, tol)
-        elif method == "sum":
-            verdict = _run_stage(report, "sum", sum_test, t, tol)
-        elif method == "phase":
-            verdict = _run_stage(report, "mag-phase", magnitude_phase_test, t, tol)
 
-        if verdict is not None and verdict.is_inconclusive and method != "auto":
-            report.error = f"forced method {method!r} is inconclusive: {verdict.reason}"
-        elif verdict is None or verdict.is_inconclusive:
-            # forced oracle, or the terminal stage of auto: the oracle decides
-            verdict = _oracle_stage(report, t, tol, screen=True)
-            report.oracle_agrees = True
-        elif oracle_check:
-            oracle_verdict = _oracle_stage(report, t, tol, screen=verdict.is_factorized)
-            report.oracle_agrees = oracle_verdict.outcome is verdict.outcome
-            if not report.oracle_agrees:
-                report.error = (
-                    f"criterion {verdict.decided_by!r} says {verdict.outcome.value} "
-                    f"but the oracle found {oracle_verdict.reason}"
-                )
-        _finalize(report, verdict, t)
+            if verdict is not None and verdict.is_inconclusive and method != "auto":
+                report.error = f"forced method {method!r} is inconclusive: {verdict.reason}"
+            elif verdict is None or verdict.is_inconclusive:
+                # forced oracle, or the terminal stage of auto: the oracle decides
+                verdict = _oracle_stage(report, t, tol, screen=True)
+                report.oracle_agrees = True
+            elif oracle_check:
+                oracle_verdict = _oracle_stage(report, t, tol, screen=verdict.is_factorized)
+                report.oracle_agrees = oracle_verdict.outcome is verdict.outcome
+                if not report.oracle_agrees:
+                    report.error = (
+                        f"criterion {verdict.decided_by!r} says {verdict.outcome.value} "
+                        f"but the oracle found {oracle_verdict.reason}"
+                    )
+            _finalize(report, verdict, t, rec)
+    finally:
+        _RECONSTRUCTION.reset(token)
     return report
 
 
