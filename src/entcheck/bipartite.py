@@ -25,17 +25,25 @@ every sum product below the cut, and the sign-flip screen skips its
 per-line maxima when the flipped totals already pick the first line or
 a bound from the sums rules the product term out.  A slab of the sum
 criterion whose residuals all sit below eps_mag times the floor skips
-its per-entry bounds.  Inside `analyze`, a sum criterion on the call's
-own tensor stops after its first leading index once finalisation's
-reconstruction residual certifies that no residual left to walk
-exceeds that value (`_sum_slabs`, `pipeline._Reconstruction`).  Each
-screen and the certificate only skip work: verdicts, witnesses and
-factors are those of the full passes, bit for bit.
+its per-entry bounds.
+
+Inside `analyze`, `_RECONSTRUCTION` (defined here, set by `pipeline`
+for the length of the call, None outside it) holds the call's
+`pipeline._Reconstruction`.  A sum criterion on the call's own tensor
+whose head slab (its first leading index) has every residual at or
+under that value offers it its factors (`_offer`), and stops there when
+finalisation's reconstruction residual certifies that no residual left
+to walk exceeds it (`_sum_slabs`).  A head slab above it is never
+offered: the certificate bounds every residual of the walk, the head's
+included, so it could only decline.  Each screen and the certificate
+only skip work: verdicts, witnesses and factors are those of the full
+passes, bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextvars
 import enum
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -43,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _RECONSTRUCTION, _over_pivot, _slab_walk
+from .core import CoeffTensor, DEFAULT_TOLERANCES, Tolerances, _over_pivot, _slab_walk
 
 
 class Outcome(enum.Enum):
@@ -59,6 +67,9 @@ MAG_PHASE = "mag-phase"      # magnitude + phase criterion
 MULTI_SUM = "multi-sum"      # r-party sum criterion
 ORACLE = "oracle"            # rank-based oracle
 DEGENERATE = "degenerate"    # total sum and all sum products vanish
+
+# The reconstruction of the `analyze` call in progress, or None.
+_RECONSTRUCTION = contextvars.ContextVar("entcheck_reconstruction", default=None)
 
 
 class PreconditionError(ValueError):
@@ -171,10 +182,13 @@ def _sum_slabs(c, partials, power, floor, tol, certify=None):
     first, so a slab that takes the bound forms lhs a second time for
     its |lhs|.
 
-    When the head slab (the first leading index) has no violation and
-    the caller walks on, `certify(least)`, least = fl(eps_mag * floor),
-    is asked once whether every residual left to walk is certainly at
-    most least.  If it is, none is a violation, and the walk ends there.
+    When every residual of the head slab (the first leading index) is
+    at most least = fl(eps_mag * floor) and the caller walks on,
+    `certify(least)` is asked once whether every residual left to walk
+    is certainly at most least too.  If it is, none is a violation, and
+    the walk ends there.  A head slab above least is not asked about:
+    the certificate bounds the head's residuals as well, so it could
+    only decline.
     """
     eps = tol.eps_mag
     least = eps * floor
@@ -182,7 +196,8 @@ def _sum_slabs(c, partials, power, floor, tol, certify=None):
         lhs = block * power
         lhs -= rhs
         resid = np.abs(lhs)
-        if resid.max() <= least:
+        within = resid.max() <= least
+        if within:
             viol = np.zeros(resid.shape, dtype=bool)
         else:
             # |lhs| from lhs formed again, the same bits, in the spent buffer
@@ -192,7 +207,7 @@ def _sum_slabs(c, partials, power, floor, tol, certify=None):
             bound *= eps
             viol = ~(resid <= bound)
         yield offset, block, rhs, resid, viol
-        if n == 0 and certify is not None and not viol.any() and certify(least):
+        if n == 0 and within and certify is not None and certify(least):
             return
 
 
@@ -210,16 +225,15 @@ def _offer(t: CoeffTensor, build, power) -> tuple:
     """(certify, factors) for a sum criterion on `t` with power S^(r-1).
 
     `factors()` gives `build()`, the criterion's factors or None where
-    it has none; the criterion calls it once, after its walk, and inside
-    `analyze` it builds them only if `certify` has not.  `certify` is the
-    walk's hook
-    (`_sum_slabs`).  It offers those factors to the reconstruction of
-    the `analyze` call in progress (`core._RECONSTRUCTION`), which keeps
-    them, and says whether their reconstruction residual certifies the
-    rest of the walk.  It is None outside `analyze` and on any tensor but
-    the call's own (sign-flip's negated copy), so those walks run in
-    full.  The criterion returns the very factors it offered, and that is
-    how finalisation knows it may reuse their reconstruction.
+    it has none, built at most once; the criterion calls it after its
+    walk.  `certify` is the walk's hook (`_sum_slabs`): it offers those
+    factors to the reconstruction of the `analyze` call in progress
+    (`_RECONSTRUCTION`) and says whether their reconstruction residual
+    certifies the rest of the walk.  It is None outside `analyze` and on
+    any tensor but the call's own (sign-flip's negated copy), so those
+    walks run in full.  The criterion returns the very factors it
+    offered, so finalisation finds their reconstruction formed already
+    (`pipeline._Reconstruction.of`).
     """
     rec = _RECONSTRUCTION.get()
     if rec is None or rec.tensor is not t:
@@ -231,11 +245,7 @@ def _offer(t: CoeffTensor, build, power) -> tuple:
             made.append(build())
         return made[0]
 
-    def certify(least):
-        offered = factors()
-        return offered is not None and rec.certifies(offered, power, least)
-
-    return certify, factors
+    return (lambda least: rec.certifies(factors(), power, least)), factors
 
 
 # Relative slack of the tier screen in `sum_test`.  The screen bounds
@@ -281,9 +291,10 @@ def sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) -> Verdict:
     vanish, tiers 1 and 2 are empty and the walk stops at the first
     violating slab; otherwise it goes on, keeping the first index of each
     tier, until a tier-1 index turns up or the matrix ends.  Inside
-    `analyze` a product stops after its first row instead, once the
-    reconstruction residual of its factors certifies the rest
-    (`_offer`); the verdict and factors are those of the full walk.
+    `analyze` a product whose first row has every residual at or under
+    the walk's least bound stops there instead, once the reconstruction
+    residual of its factors certifies the rest (`_offer`); the verdict
+    and factors are those of the full walk.
     """
     _require_bipartite(t)
     c = t.array

@@ -31,20 +31,10 @@ bit-identical to the full-size one.  The reconstruction checks of the
 pipeline and of the magnitude/phase test share one such walk,
 `_outer_residual`, which forms each slab's residuals in its outer
 product's buffer.
-
-`_RECONSTRUCTION` holds the reconstruction of the one tensor an
-`analyze` call decides (`pipeline._Reconstruction`), set for the length
-of the call and None outside it.  A sum criterion walking that tensor
-offers it its factors once its first leading index passes; when the
-reconstruction residual finalisation needs anyway bounds every residual
-left to walk below the walk's least bound, the walk stops there, with
-the verdict and factors of the full walk.  Nothing is kept on the
-tensor, so each call does the same work.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,9 +61,6 @@ _SLAB = 1 << 14
 # they replace.
 _SHORT = 4
 _LONG = 256
-
-# The reconstruction of the `analyze` call in progress, or None.
-_RECONSTRUCTION = contextvars.ContextVar("entcheck_reconstruction", default=None)
 
 
 @dataclass(frozen=True)

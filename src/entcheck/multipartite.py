@@ -9,9 +9,11 @@ here; the pipeline escalates straight to the unfolding-rank oracle.
 The check runs slab by slab on the core slab walk and stops at the
 first violating slab, so a random tensor is decided from its first
 slab, one index of its leading parties (256 entries of a 2**18 qubit
-tensor), and no temporary is the size of the tensor.  Inside `analyze`
-a product stops after that first slab instead, once the reconstruction
-residual of its factors certifies the rest (`bipartite._offer`).
+tensor), and no temporary is the size of the tensor.  Inside `analyze`,
+where `bipartite._RECONSTRUCTION` holds the call's reconstruction, a
+first slab whose residuals all sit at or under the walk's least bound
+offers the factors, and a product stops there instead once their
+reconstruction residual certifies the rest (`bipartite._offer`).
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ def multiparty_sum_test(t: CoeffTensor, tol: Tolerances = DEFAULT_TOLERANCES) ->
     entanglement with a concrete witness or, collectively, yields the
     factor vectors.  Inconclusive too when S^(r-1) under- or overflows
     so that a factor is not finite or is the zero vector.  The factors
-    are formed once, when the first slab passes, and offered to the
-    reconstruction of the `analyze` call in progress, which may end the
-    walk there with this same verdict (`bipartite._offer`).
+    are formed at most once: when a first slab at or under the least
+    bound is offered to the reconstruction of the `analyze` call in
+    progress, which may end the walk there with this same verdict
+    (`bipartite._offer`), or else after the walk.
     """
     c = t.array
     r = t.party_count

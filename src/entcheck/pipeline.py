@@ -17,16 +17,17 @@ verdicts and 2-party inputs go straight to `unfolding_ranks`, so their
 `oracle_pivot_ratio` is always the exact one; a screened product reports
 the screen's upper bound.
 
-Each call holds one `_Reconstruction` of its tensor, reached by the sum
-criteria through `core._RECONSTRUCTION` for the length of the call.  A
-criterion whose first leading index passes offers it its factors; they
-are normalized and their reconstruction residual walked there, as
-finalisation would, and when that residual certifies the rest of the
-criterion's walk (`_CERTIFICATE_ROUNDING`) the walk stops.  Finalisation
-takes the normalized factors and the residual from it, so a product is
-walked twice (reconstruction and oracle), not three times.  The
-certificate never reads the oracle's numbers, nor the oracle the
-criterion's.
+Each call holds one `_Reconstruction` of its tensor, which the sum
+criteria reach through `bipartite._RECONSTRUCTION`, set here for the
+length of the call.  A criterion whose head slab (first leading index)
+has every residual at most its least bound offers it its factors; when
+their reconstruction residual certifies the rest of the criterion's
+walk (`_CERTIFICATE_ROUNDING`), the walk stops.  Every factorized route
+takes its normalized factors and residual from `_Reconstruction.of`,
+which forms them once per factors object, so the offered factors are
+normalized and walked once, and a product decided by a criterion makes
+one reconstruction walk and the oracle's.  The certificate never reads
+the oracle's numbers, nor the oracle the criterion's.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import numpy as np
 
 from .bipartite import (
     ORACLE,
+    _RECONSTRUCTION,
     LocalFactors,
     Outcome,
     Verdict,
@@ -51,7 +53,6 @@ from .core import (
     CoeffTensor,
     DEFAULT_TOLERANCES,
     Tolerances,
-    _RECONSTRUCTION,
     _ldexp,
     _norm_and_exponent,
     _outer_residual,
@@ -131,8 +132,8 @@ _RECONSTRUCTION_ROUNDING = 16 * float(np.finfo(float).eps)
 # overflows) and least >= 2**-990 (G + P M^(r-1)) (the losses stay under
 # 2**-60 least).  It declines, and the walk goes on, outside max|c| in
 # [2**-400, 2**400], for a zero or non-finite power, for a factor that
-# is zero or not finite (its residual is NaN) and on any tensor but the
-# call's own.
+# is zero or not finite (its residual is NaN), for no factors at all and
+# on any tensor but the call's own.
 _CERTIFICATE_ROUNDING = 32 * float(np.finfo(float).eps)
 _CERTIFICATE_SLACK = 8 * float(np.finfo(float).eps)
 
@@ -222,18 +223,26 @@ def normalize_factors(factors: LocalFactors) -> NormalizedFactors:
 class _Reconstruction:
     """Finalisation's reconstruction for the tensor of one `analyze` call.
 
-    A sum criterion on `tensor` offers it the factors it would return
-    once its first leading index passes (`bipartite._offer`).  Those
-    factors are normalized and walked here, as `_finalize` would, and
-    kept with their residual, whether or not the certificate holds, so
-    no route normalizes or walks the reconstruction twice.
+    `of` normalizes factors and walks their reconstruction residual,
+    and keeps both for the last factors it saw.  A sum criterion on
+    `tensor` offers it the factors it would return (`bipartite._offer`),
+    and returns those very factors, so `_finalize` finds them formed.
     """
 
     def __init__(self, t: CoeffTensor):
         self.tensor = t
-        self.factors = self.normalized = self.residual = None
+        self.factors = self.formed = None
 
-    def certifies(self, factors: LocalFactors, power, least) -> bool:
+    def of(self, factors: LocalFactors) -> tuple:
+        """(normalized factors, reconstruction residual) of `factors`,
+        formed only when they are not the factors of the last call."""
+        if factors is not self.factors:
+            normalized = normalize_factors(factors)
+            self.formed = normalized, _reconstruction_residual(normalized, self.tensor.array)
+            self.factors = factors
+        return self.formed
+
+    def certifies(self, factors: Optional[LocalFactors], power, least) -> bool:
         """Whether the reconstruction residual of `factors` proves every
         residual of the sum criterion c * power == prod_k P_k at most
         `least` (`_CERTIFICATE_ROUNDING`)."""
@@ -242,15 +251,14 @@ class _Reconstruction:
         p = abs(power)
         e = max(0, math.frexp(t.entry_count * cmax)[1])  # M <= 2**e
         if not (
-            2.0**-400 <= cmax <= 2.0**400
+            factors is not None
+            and 2.0**-400 <= cmax <= 2.0**400
             and 0.0 < p < math.inf
             and r * e <= 1000
             and least >= math.ldexp(1.0, r * e - 990) + math.ldexp(p, (r - 1) * e - 990)
         ):
             return False
-        self.factors = factors
-        self.normalized = normalize_factors(factors)
-        d = self.residual = _reconstruction_residual(self.normalized, t.array)
+        d = self.of(factors)[1]
         rounding = r * _CERTIFICATE_ROUNDING * p * (2 * cmax + d)
         return p * d * (1 + _CERTIFICATE_SLACK) + rounding <= least * (1 - _CERTIFICATE_SLACK)
 
@@ -298,12 +306,10 @@ def _oracle_stage(report, t, tol, screen):
     return verdict
 
 
-def _finalize(report, verdict, t, rec):
-    """Copy the verdict into the report; for a factorized one, normalize
-    its factors and check their reconstruction residual against the
-    bound.  Factors the criterion offered to `rec`, the call's
-    `_Reconstruction`, are normalized and walked there already, and
-    their normalization and residual are taken from it."""
+def _finalize(report, verdict, rec):
+    """Copy the verdict into the report; for a factorized one, take the
+    normalized factors and their reconstruction residual from `rec`, the
+    call's `_Reconstruction`, and check the residual against the bound."""
     report.verdict = verdict.outcome
     report.decided_by = verdict.decided_by
     report.reason = verdict.reason
@@ -311,15 +317,11 @@ def _finalize(report, verdict, t, rec):
         report.witness = verdict.witness.index
         report.witness_residual = verdict.witness.residual
     if verdict.is_factorized:
+        t = rec.tensor
         factors = verdict.factors
         if factors is None:
             factors = _oracle_factor_extraction(t)
-        if factors is rec.factors:
-            normalized, residual = rec.normalized, rec.residual
-        else:
-            normalized = normalize_factors(factors)
-            residual = _reconstruction_residual(normalized, t.array)
-        report.factors = normalized
+        report.factors, residual = rec.of(factors)
         report.reconstruction_residual = residual
         tol = report.tolerances
         eps = _RECONSTRUCTION_K * max(tol.eps_mag, tol.eps_rank)
@@ -369,7 +371,7 @@ def analyze(
     # so numpy's warnings for it are noise on the caller's stderr.  The
     # oracle's helper thread runs in a copy of this context and inherits
     # the setting.  The sum criteria reach this call's reconstruction
-    # through `core._RECONSTRUCTION`, set for the call only.
+    # through `bipartite._RECONSTRUCTION`, set for the call only.
     rec = _Reconstruction(t)
     token = _RECONSTRUCTION.set(rec)
     try:
@@ -402,7 +404,7 @@ def analyze(
                         f"criterion {verdict.decided_by!r} says {verdict.outcome.value} "
                         f"but the oracle found {oracle_verdict.reason}"
                     )
-            _finalize(report, verdict, t, rec)
+            _finalize(report, verdict, rec)
     finally:
         _RECONSTRUCTION.reset(token)
     return report
